@@ -1,9 +1,10 @@
 """Binary model files: network weights plus the input normalizer.
 
 Layout: magic, version u32, layer count u32 (= number of dims), dims as
-u32s, then per layer the row-major little-endian f64 weight matrix followed
-by the bias vector, then the normalizer's col_min and col_max (f64, length =
-input dim).  Round-trips are bit-exact.
+u32s, then the network's flat parameter vector as little-endian f64 (per
+layer the row-major weight matrix followed by the bias vector), then the
+normalizer's col_min and col_max (f64, length = input dim).  Round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ def save_model(net: NetworkParams, normalizer: Normalizer, path: str | Path) -> 
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", MODEL_VERSION, len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(normalizer.col_min, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(normalizer.col_max, dtype="<f8").tobytes())
 
@@ -58,17 +57,6 @@ def load_model(path: str | Path) -> tuple[NetworkParams, Normalizer]:
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
 
-    def take(count: int) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return arr
-
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(take(fan_out * fan_in).reshape(fan_out, fan_in))
-        biases.append(take(fan_out))
-    normalizer = Normalizer(col_min=take(dims[0]), col_max=take(dims[0]))
-    net = NetworkParams(layer_dims=dims, weights=weights, biases=biases)
-    return net, normalizer
+    values = np.frombuffer(raw, dtype="<f8", offset=off).astype(float)
+    flat, col_min, col_max = np.split(values, [n_params, n_params + dims[0]])
+    return NetworkParams.from_flat(dims, flat), Normalizer(col_min=col_min, col_max=col_max)

@@ -10,7 +10,7 @@ dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,103 +19,132 @@ RHO2_DEFAULT = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a vector laid out as W0, b0, W1, b1, ..."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = off + fan_out * fan_in
+        weights.append(flat[off:end].reshape(fan_out, fan_in))
+        biases.append(flat[end : end + fan_out])
+        off = end + fan_out
+    if flat.shape != (off,):
+        raise ValueError(f"flat vector of shape {flat.shape} does not fit layer dims {dims}")
+    return weights, biases
+
+
+def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
+    parts = [np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)]
+    return np.concatenate(parts).astype(float, copy=False)
+
+
 class NetworkParams:
-    """Dense-layer weights/biases; weights[m] has shape (dims[m+1], dims[m])."""
+    """Dense-layer parameters in one float64 vector ``flat``: per layer the
+    row-major weights (shape (dims[m+1], dims[m])) followed by the bias.
+    ``weights[m]`` and ``biases[m]`` are views into ``flat``; the constructor
+    copies the given arrays into a new vector."""
 
-    layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    output_activation: str = "sigmoid"  # or "linear"
+    def __init__(self, layer_dims, weights, biases, output_activation: str = "sigmoid") -> None:
+        dims = tuple(int(d) for d in layer_dims)
+        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+            raise ValueError("weights/biases count must be len(dims) - 1")
+        for m, (w, b) in enumerate(zip(weights, biases)):
+            if np.shape(w) != (dims[m + 1], dims[m]) or np.shape(b) != (dims[m + 1],):
+                raise ValueError(f"layer {m}: shape {np.shape(w)}/{np.shape(b)} breaks the chain {dims}")
+        self._bind(dims, _pack(weights, biases), output_activation)
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.layer_dims)
+    @classmethod
+    def from_flat(cls, layer_dims, flat: np.ndarray, output_activation: str = "sigmoid") -> "NetworkParams":
+        """Wrap ``flat`` (not copied) as the parameters of a network with these dims."""
+        net = cls.__new__(cls)
+        net._bind(tuple(int(d) for d in layer_dims), flat, output_activation)
+        return net
+
+    def _bind(self, dims: tuple[int, ...], flat: np.ndarray, output_activation: str) -> None:
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"invalid layer dims {dims}")
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("weights/biases count must be len(dims) - 1")
-        for m, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[m + 1], dims[m]) or b.shape != (dims[m + 1],):
-                raise ValueError(f"layer {m}: shape {w.shape}/{b.shape} breaks the chain {dims}")
-        if self.output_activation not in ("sigmoid", "linear"):
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
+        if output_activation not in ("sigmoid", "linear"):
+            raise ValueError(f"unknown output activation {output_activation!r}")
         self.layer_dims = dims
+        self.flat = flat
+        self.weights, self.biases = _views(dims, flat)
+        self.output_activation = output_activation
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     @property
     def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            output_activation=self.output_activation,
-        )
+        return NetworkParams.from_flat(self.layer_dims, self.flat.copy(), self.output_activation)
 
     def allclose(self, other: "NetworkParams", atol: float = 0.0) -> bool:
-        return self.layer_dims == other.layer_dims and all(
-            np.allclose(a, b, rtol=0.0, atol=atol)
-            for a, b in zip(self.weights + self.biases, other.weights + other.biases)
+        return self.layer_dims == other.layer_dims and np.allclose(
+            self.flat, other.flat, rtol=0.0, atol=atol
         )
 
 
-@dataclass
 class Gradients:
-    """Loss gradients shaped like the network's weights and biases."""
+    """Loss gradients laid out like ``NetworkParams.flat``; d_weights/d_biases are views."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    def __init__(self, d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> None:
+        dims = (d_weights[0].shape[1], *(g.shape[0] for g in d_weights))
+        self._bind(dims, _pack(d_weights, d_biases))
+
+    @classmethod
+    def from_flat(cls, layer_dims: tuple[int, ...], flat: np.ndarray) -> "Gradients":
+        grads = cls.__new__(cls)
+        grads._bind(layer_dims, flat)
+        return grads
+
+    def _bind(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
+        self.layer_dims = dims
+        self.flat = flat
+        self.d_weights, self.d_biases = _views(dims, flat)
 
     def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            d_weights=[factor * g for g in self.d_weights],
-            d_biases=[factor * g for g in self.d_biases],
-        )
+        return Gradients.from_flat(self.layer_dims, factor * self.flat)
 
     def add_(self, other: "Gradients") -> None:
-        for a, b in zip(self.d_weights, other.d_weights):
-            a += b
-        for a, b in zip(self.d_biases, other.d_biases):
-            a += b
+        self.flat += other.flat
 
     @classmethod
     def zeros_like(cls, net: NetworkParams) -> "Gradients":
-        return cls(
-            d_weights=[np.zeros_like(w) for w in net.weights],
-            d_biases=[np.zeros_like(b) for b in net.biases],
-        )
+        return cls.from_flat(net.layer_dims, np.zeros(net.n_parameters))
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and step counter for ADAM."""
+    """ADAM step counter and moments laid out like ``NetworkParams.flat``.
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place, using
+    ``scratch`` as its work buffer."""
+
+    layer_dims: tuple[int, ...]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     rho1: float = RHO1_DEFAULT
     rho2: float = RHO2_DEFAULT
     epsilon_stab: float = ADAM_EPS
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty_like(self.m)
+
+    m_weights = property(lambda self: _views(self.layer_dims, self.m)[0])
+    m_biases = property(lambda self: _views(self.layer_dims, self.m)[1])
+    v_weights = property(lambda self: _views(self.layer_dims, self.v)[0])
+    v_biases = property(lambda self: _views(self.layer_dims, self.v)[1])
 
 
 def init_adam_state(
     net: NetworkParams, rho1: float = RHO1_DEFAULT, rho2: float = RHO2_DEFAULT
 ) -> AdamState:
-    return AdamState(
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_biases=[np.zeros_like(b) for b in net.biases],
-        rho1=rho1,
-        rho2=rho2,
-    )
+    n = net.n_parameters
+    return AdamState(net.layer_dims, m=np.zeros(n), v=np.zeros(n), rho1=rho1, rho2=rho2)
 
 
 @dataclass(frozen=True)
@@ -141,23 +170,14 @@ def init_network(
     """He-initialized weights (variance 2/fan_in) and zero biases."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(
-        layer_dims=dims, weights=weights, biases=biases, output_activation=output_activation
-    )
+    weights = [rng.standard_normal((o, i)) * np.sqrt(2.0 / i) for i, o in zip(dims[:-1], dims[1:])]
+    return NetworkParams(dims, weights, [np.zeros(o) for o in dims[1:]], output_activation)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, in one pass."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_trace(net: NetworkParams, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -167,7 +187,8 @@ def _forward_trace(net: NetworkParams, x: np.ndarray) -> tuple[list[np.ndarray],
     a = x
     last = net.n_layers - 1
     for m, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pre_acts.append(z)
         if m < last:
             a = np.maximum(z, 0.0)
@@ -220,68 +241,56 @@ def backward(
         raise FloatingPointError("non-finite activations in forward pass")
     loss = mse_loss(out, y)
 
-    d_weights: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * net.n_layers  # type: ignore[list-item]
-    delta = (2.0 / n_batch) * (out - y)
+    grads = Gradients.from_flat(net.layer_dims, np.empty(net.n_parameters))
+    delta = out - y
+    delta *= 2.0 / n_batch
     if net.output_activation == "sigmoid":
-        delta = delta * out * (1.0 - out)
+        delta *= out
+        delta *= 1.0 - out
     for m in range(net.n_layers - 1, -1, -1):
-        d_weights[m] = delta.T @ activations[m]
-        d_biases[m] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[m], out=grads.d_weights[m])
+        delta.sum(axis=0, out=grads.d_biases[m])
         if m > 0:
-            delta = (delta @ net.weights[m]) * (pre_acts[m - 1] > 0.0)
-    return loss, Gradients(d_weights=d_weights, d_biases=d_biases)
+            delta = delta @ net.weights[m]
+            delta *= pre_acts[m - 1] > 0.0
+    return loss, grads
 
 
 def adam_step(
     net: NetworkParams, grads: Gradients, state: AdamState, lr: float
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected ADAM update; returns new params and state."""
+    """One bias-corrected ADAM update.
+
+    The moments and step count of ``state`` are updated in place and
+    ``state`` is returned with new parameters; ``net`` and ``grads`` are only
+    read, so callers may share them.
+    """
     t = state.step_count + 1
     c1 = 1.0 - state.rho1**t
     c2 = 1.0 - state.rho2**t
-
-    def update(theta, g, m, v):
-        m_new = state.rho1 * m + (1.0 - state.rho1) * g
-        v_new = state.rho2 * v + (1.0 - state.rho2) * (g * g)
-        step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + state.epsilon_stab)
-        return theta - step, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for w, g, m, v in zip(net.weights, grads.d_weights, state.m_weights, state.v_weights):
-        wn, mn, vn = update(w, g, m, v)
-        new_w.append(wn)
-        new_mw.append(mn)
-        new_vw.append(vn)
-    new_b, new_mb, new_vb = [], [], []
-    for b, g, m, v in zip(net.biases, grads.d_biases, state.m_biases, state.v_biases):
-        bn, mn, vn = update(b, g, m, v)
-        new_b.append(bn)
-        new_mb.append(mn)
-        new_vb.append(vn)
-
-    new_net = NetworkParams(
-        layer_dims=net.layer_dims,
-        weights=new_w,
-        biases=new_b,
-        output_activation=net.output_activation,
-    )
-    new_state = replace(
-        state,
-        m_weights=new_mw,
-        v_weights=new_vw,
-        m_biases=new_mb,
-        v_biases=new_vb,
-        step_count=t,
-    )
-    return new_net, new_state
+    g, m, v, s = grads.flat, state.m, state.v, state.scratch
+    # m = rho1*m + (1-rho1)*g, v = rho2*v + (1-rho2)*g*g in this operation order (bit-identical)
+    m *= state.rho1
+    np.multiply(g, 1.0 - state.rho1, out=s)
+    m += s
+    v *= state.rho2
+    np.multiply(g, g, out=s)
+    s *= 1.0 - state.rho2
+    v += s
+    # theta - lr*(m/c1) / (sqrt(v/c2) + eps)
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += state.epsilon_stab
+    theta = np.divide(m, c1)
+    theta *= lr
+    theta /= s
+    np.subtract(net.flat, theta, out=theta)
+    state.step_count = t
+    return NetworkParams.from_flat(net.layer_dims, theta, net.output_activation), state
 
 
 def sgd_step(net: NetworkParams, grads: Gradients, lr: float) -> NetworkParams:
-    """Plain gradient descent: theta <- theta - lr * g."""
-    return NetworkParams(
-        layer_dims=net.layer_dims,
-        weights=[w - lr * g for w, g in zip(net.weights, grads.d_weights)],
-        biases=[b - lr * g for b, g in zip(net.biases, grads.d_biases)],
-        output_activation=net.output_activation,
-    )
+    """Plain gradient descent: theta <- theta - lr * g, as new parameters."""
+    theta = lr * grads.flat
+    np.subtract(net.flat, theta, out=theta)
+    return NetworkParams.from_flat(net.layer_dims, theta, net.output_activation)

@@ -118,6 +118,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"need n_adapt + n_test <= n_target, got {self.n_adapt}+{self.n_test} > {self.n_target}"
             )
+        if any(h < 1 for h in self.hidden_dims):
+            raise ConfigError(f"hidden_dims entries must be >= 1, got {self.hidden_dims}")
+        if self.scale_factor != 1.0:
+            apply_scale(self)  # the scaled sizes, which a run uses, must pass these checks too
+        elif "meta" in self.algorithms:
+            tasks = self.meta_tasks
+            needed = tasks.n_tasks * tasks.samples_per_task
+            if needed > self.n_source:
+                raise ConfigError(
+                    f"meta_tasks need {needed} source samples "
+                    f"({tasks.n_tasks} x {tasks.samples_per_task}), n_source is {self.n_source}"
+                )
+            if self.meta.task_batch > tasks.n_tasks:
+                raise ConfigError(
+                    f"meta.task_batch {self.meta.task_batch} exceeds meta_tasks.n_tasks {tasks.n_tasks}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -194,6 +210,10 @@ class ExperimentConfig:
             raise ConfigError(f"missing config field: {exc}") from exc
         except TypeError as exc:
             raise ConfigError(f"bad config structure: {exc}") from exc
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -527,10 +547,11 @@ def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
 
 
 def _max_workers() -> int:
+    raw = os.environ.get("FDKG_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("FDKG_THREADS", "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ConfigError(f"FDKG_THREADS must be an integer, got {raw!r}") from None
 
 
 def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
@@ -541,6 +562,7 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
     randomness suites.
     """
     cfg = apply_scale(cfg)
+    workers = _max_workers()
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
 
     source_pairs, targets = _prepare_data(cfg)
@@ -643,7 +665,6 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
                 )
         return row, rand_rows
 
-    workers = _max_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, cells))
@@ -690,10 +711,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
         return ExperimentReport(rows=rows, randomness=report.randomness)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    configs = [_with_axis(cfg, axis, value) for value in values]  # validate every value first
     rows: list[ReportRow] = []
     randomness: list[RandomnessRow] = []
-    for value in values:
-        report = run_pipeline(_with_axis(cfg, axis, value))
+    for value, value_cfg in zip(values, configs):
+        report = run_pipeline(value_cfg)
         rows.extend(replace(r, axis=axis, axis_value=float(value)) for r in report.rows)
         randomness.extend(report.randomness)
     return ExperimentReport(rows=rows, randomness=randomness)

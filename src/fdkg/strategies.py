@@ -159,9 +159,9 @@ def train_supervised(
     """
     if data.n == 0:
         raise ValueError("training data must be non-empty")
-    net = init.copy()
     if cfg.max_iterations == 0:
-        return net
+        return init.copy()
+    net = init
     state = init_adam_state(net)
     rng = np.random.default_rng(cfg.seed)
     evals: list[float] = []
@@ -190,9 +190,9 @@ def adapt(
     """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates."""
     if adapt_set.n == 0:
         raise ValueError("adaptation data must be non-empty")
-    net = pretrained.copy()
     if cfg.adapt_steps == 0:
-        return net
+        return pretrained.copy()
+    net = pretrained
     state = init_adam_state(net)
     rng = np.random.default_rng(seed)
     batch = min(cfg.adapt_batch_size, adapt_set.n)
@@ -207,10 +207,11 @@ def adapt(
 def inner_update(
     global_params: NetworkParams, support_set: PairSet, alpha: float, g_tr: int
 ) -> NetworkParams:
-    """Per-task update: g_tr full-batch gradient-descent steps on the support loss."""
+    """Per-task update: g_tr full-batch gradient-descent steps on the support loss
+    (returns ``global_params`` itself when g_tr is 0)."""
     if support_set.n == 0:
         raise ValueError("support set must be non-empty")
-    net = global_params.copy()
+    net = global_params
     for _ in range(g_tr):
         _, grads = backward(net, support_set.inputs, support_set.targets)
         net = sgd_step(net, grads, alpha)
@@ -238,7 +239,7 @@ def meta_train(
         raise ConfigError(
             f"task_batch {cfg.task_batch} exceeds available tasks {tasks.n_tasks}"
         )
-    net = init.copy()
+    net = init
     state = init_adam_state(net)
     rng = np.random.default_rng(seed)
     totals: list[float] = []

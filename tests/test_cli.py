@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from fdkg.cli import main
@@ -52,6 +53,53 @@ def test_run_bad_config_exits_2(tmp_path):
     path.write_text("{\"not\": \"a config\"}")
     result = invoke("run", "--config", str(path), "--out", str(tmp_path / "o"))
     assert result.exit_code == 2
+
+
+def write_config_dict(tmp_path, edit):
+    doc = mini_config(snr=20.0, algorithms=["direct", "meta"]).to_dict()
+    edit(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def forbid_work(monkeypatch):
+    """Replace the pipeline's synthesis and training entry points with stubs that record calls."""
+    import fdkg.pipeline as pipeline
+
+    called = []
+    for name in ("generate_env_dataset", "train_supervised", "meta_train", "adapt"):
+        monkeypatch.setattr(pipeline, name, lambda *a, _n=name, **k: called.append(_n))
+    return called
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d["train"].update(batch_size=0),
+        lambda d: d.update(hidden_dims=[0]),
+        lambda d: d["meta_tasks"].update(n_tasks=100),
+        lambda d: d["meta"].update(task_batch=5),
+    ],
+    ids=["zero_batch_size", "zero_hidden_dim", "too_many_meta_tasks", "task_batch_over_tasks"],
+)
+def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
+    called = forbid_work(monkeypatch)
+    cfg_path = write_config_dict(tmp_path, edit)
+    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert called == []
+
+
+def test_run_malformed_fdkg_threads_exits_2_before_any_work(tmp_path, monkeypatch):
+    called = forbid_work(monkeypatch)
+    monkeypatch.setenv("FDKG_THREADS", "abc")
+    cfg_path = write_mini_config(tmp_path)
+    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, result.output
+    assert "FDKG_THREADS" in result.output
+    assert called == []
 
 
 def test_run_config_with_seed_flag_conflicts(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from fdkg.neuralnet import (
     Gradients,
     NetworkParams,
+    _sigmoid,
     adam_step,
     backward,
     forward,
@@ -221,3 +222,53 @@ def test_training_loss_trend_and_determinism():
     first = np.mean(losses[:10])
     last = np.mean(losses[-10:])
     assert last < first
+
+
+def two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_equal_to_two_branch_formula():
+    special = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 1e3, -1e3, 5e-324, -5e-324, 745.0, -745.0]
+    z = np.concatenate([special, np.linspace(-40.0, 40.0, 8000)]).reshape(4, -1)
+    got, ref = _sigmoid(z), two_branch_sigmoid(z)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_flat_vector_layout_and_views():
+    net = init_network([3, 4, 2], seed=7)
+    expected = np.concatenate([net.weights[0].ravel(), net.biases[0], net.weights[1].ravel(), net.biases[1]])
+    assert np.array_equal(net.flat, expected) and net.n_parameters == expected.size
+    net.weights[1][0, 0] = 5.0  # views write through to the flat vector
+    assert net.flat[3 * 4 + 4] == 5.0
+    grads = Gradients(d_weights=[np.ones((4, 3)), np.ones((2, 4))], d_biases=[np.zeros(4), np.zeros(2)])
+    assert grads.flat.shape == (net.n_parameters,) and np.shares_memory(grads.d_biases[1], grads.flat)
+
+
+def test_copy_shares_no_memory():
+    net = init_network([4, 5, 3], seed=1)
+    dup = net.copy()
+    assert not np.shares_memory(dup.flat, net.flat)
+    assert not any(np.shares_memory(a, b) for a in dup.weights + dup.biases for b in net.weights + net.biases)
+    assert dup.allclose(net)
+
+
+def test_optimizer_steps_do_not_modify_inputs():
+    net = init_network([4, 6, 3], seed=2)
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (5, 4))
+    _, grads = backward(net, x, np.full((5, 3), 0.25))
+    net_before, grads_before = net.flat.copy(), grads.flat.copy()
+    state = init_adam_state(net)
+    stepped, state = adam_step(net, grads, state, 1e-2)
+    stepped_before = stepped.flat.copy()
+    stepped2, _ = adam_step(stepped, grads, state, 1e-2)
+    moved = sgd_step(net, grads, 0.1)
+    assert np.array_equal(net.flat, net_before) and np.array_equal(grads.flat, grads_before)
+    assert np.array_equal(stepped.flat, stepped_before) and state.step_count == 2
+    for out in (stepped, stepped2, moved):
+        assert not np.shares_memory(out.flat, net.flat) and not out.allclose(net)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,33 @@ class TestConfig:
         assert scaled.hidden_dims == [51, 102, 102, 51]
         assert scaled.meta_tasks.n_tasks == 40
         assert scaled.scale_factor == 1.0
+
+    def test_hidden_dims_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            mini_config(hidden_dims=[24, 0])
+
+    def test_meta_task_feasibility(self):
+        with pytest.raises(ConfigError):  # 7 tasks x 20 samples > n_source 120
+            mini_config(algorithms=["meta"], meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
+        with pytest.raises(ConfigError):  # task_batch 5 > 4 tasks
+            mini_config(algorithms=["meta"], meta=MetaConfig(task_batch=5))
+        # without meta the task split is unused and not checked
+        mini_config(algorithms=["direct"], meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
+
+    def test_meta_task_feasibility_rechecked_after_scaling(self):
+        cfg = mini_config(algorithms=["meta"])
+        # at scale 0.1: n_source 12, n_tasks max(1, 0) = 1, so 1 x 20 samples > 12
+        with pytest.raises(ConfigError):
+            replace(cfg, scale_factor=0.1)
+
+    def test_sweep_validates_every_value_before_running(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: calls.append(cfg))
+        with pytest.raises(ConfigError):
+            sweep(mini_config(algorithms=["meta"]), "e_batch", [2, 99])
+        assert calls == []
 
     def test_profiles_validate(self):
         assert desk_profile().n_source == 4000
@@ -259,6 +287,18 @@ class TestModelIO:
         assert np.array_equal(norm.col_max, norm2.col_max)
         x = np.random.default_rng(6).uniform(0, 1, (5, 8))
         assert np.array_equal(forward(net, x), forward(net2, x))
+
+    def test_file_layout_is_per_layer_weights_then_bias(self, tmp_path):
+        net = init_network([8, 12, 8], seed=4)
+        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
+        path = tmp_path / "model.fdkg"
+        save_model(net, norm, path)
+        body = b"".join(
+            w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+            for w, b in zip(net.weights, net.biases)
+        )
+        tail = norm.col_min.astype("<f8").tobytes() + norm.col_max.astype("<f8").tobytes()
+        assert path.read_bytes() == b"FDKG-NN" + struct.pack("<5I", 1, 3, 8, 12, 8) + body + tail
 
     def test_truncated_file_rejected(self, tmp_path):
         net = init_network([8, 12, 8], seed=4)

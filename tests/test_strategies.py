@@ -271,3 +271,32 @@ class TestPartition:
         )
         expected = data.inputs[:200]
         assert sorted(map(tuple, used)) == sorted(map(tuple, expected))
+
+
+class TestInputsUntouched:
+    """Training returns new parameters and never writes into the network it was given."""
+
+    def test_training_functions_leave_init_unchanged(self):
+        init = init_network([6, 8, 6], seed=12)
+        data = toy_pairs(40, seed=13)
+        tasks = partition_source_into_tasks(data, n_tasks=4, samples_per_task=10, seed=0)
+        snap = init.flat.copy()
+        outs = [
+            train_supervised(init, data, TrainConfig(batch_size=8, max_iterations=10)),
+            adapt(init, data, MetaConfig(adapt_steps=5, adapt_batch_size=8)),
+            inner_update(init, data, alpha=0.1, g_tr=2),
+            meta_train(init, tasks, MetaConfig(task_batch=2, max_meta_iterations=3)),
+        ]
+        assert np.array_equal(init.flat, snap)
+        for out in outs:
+            assert not np.shares_memory(out.flat, init.flat)
+            assert not out.allclose(init)
+
+    def test_shared_pretrained_net_gives_identical_adaptations(self):
+        # the pipeline hands one pretrained net to both direct and dtl
+        pretrained = init_network([6, 8, 6], seed=14)
+        data = toy_pairs(24, seed=15)
+        cfg = MetaConfig(adapt_steps=6, adapt_batch_size=8)
+        first = adapt(pretrained, data, cfg, seed=1).flat.copy()
+        second = adapt(pretrained, data, cfg, seed=1).flat
+        assert np.array_equal(first, second)
