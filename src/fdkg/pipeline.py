@@ -125,10 +125,11 @@ class ExperimentConfig:
         elif "meta" in self.algorithms:
             tasks = self.meta_tasks
             needed = tasks.n_tasks * tasks.samples_per_task
-            if needed > self.n_source:
+            pooled = self.n_source * len(self.source_envs)  # each source env contributes n_source
+            if needed > pooled:
                 raise ConfigError(
-                    f"meta_tasks need {needed} source samples "
-                    f"({tasks.n_tasks} x {tasks.samples_per_task}), n_source is {self.n_source}"
+                    f"meta_tasks need {needed} source samples ({tasks.n_tasks} x "
+                    f"{tasks.samples_per_task}), the source pool holds {pooled}"
                 )
             if self.meta.task_batch > tasks.n_tasks:
                 raise ConfigError(

@@ -264,7 +264,8 @@ def test_optimizer_steps_do_not_modify_inputs():
     _, grads = backward(net, x, np.full((5, 3), 0.25))
     net_before, grads_before = net.flat.copy(), grads.flat.copy()
     state = init_adam_state(net)
-    stepped, state = adam_step(net, grads, state, 1e-2)
+    stepped, returned = adam_step(net, grads, state, 1e-2)
+    assert returned is state  # the moments are updated in place
     stepped_before = stepped.flat.copy()
     stepped2, _ = adam_step(stepped, grads, state, 1e-2)
     moved = sgd_step(net, grads, 0.1)

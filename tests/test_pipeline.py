@@ -117,6 +117,14 @@ class TestConfig:
         # without meta the task split is unused and not checked
         mini_config(algorithms=["direct"], meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
 
+    def test_meta_task_feasibility_counts_every_source_env(self):
+        cfg = mini_config(algorithms=["meta"])
+        two_envs = [cfg.source_envs[0], replace(cfg.source_envs[0], env_id=3, seed=cfg.source_envs[0].seed + 1)]
+        # 7 x 20 = 140 samples exceed n_source 120 but fit the pooled 2 x 120
+        replace(cfg, source_envs=two_envs, meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
+        with pytest.raises(ConfigError):  # 13 x 20 = 260 > 240
+            replace(cfg, source_envs=two_envs, meta_tasks=TaskSplitConfig(n_tasks=13, samples_per_task=20))
+
     def test_meta_task_feasibility_rechecked_after_scaling(self):
         cfg = mini_config(algorithms=["meta"])
         # at scale 0.1: n_source 12, n_tasks max(1, 0) = 1, so 1 x 20 samples > 12
