@@ -61,17 +61,14 @@ from .pipeline import (
     sweep,
 )
 from .strategies import (
-    DatasetSplits,
     MetaConfig,
     MetaTask,
     MetaTaskSet,
     PairSet,
-    TargetSplit,
     adapt,
     inner_update,
     meta_train,
     partition_source_into_tasks,
-    split_pairs,
     train_supervised,
 )
 

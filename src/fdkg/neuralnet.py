@@ -104,9 +104,6 @@ class Gradients:
         self.flat = flat
         self.d_weights, self.d_biases = _views(dims, flat)
 
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients.from_flat(self.layer_dims, factor * self.flat)
-
     def add_(self, other: "Gradients") -> None:
         self.flat += other.flat
 
@@ -174,30 +171,42 @@ def init_network(
     return NetworkParams(dims, weights, [np.zeros(o) for o in dims[1:]], output_activation)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, in one pass."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(
+    z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, in one pass.
+
+    ``out`` may be ``z`` itself; ``scratch`` (shaped like ``z``) holds exp(-|z|).
+    """
+    e = np.abs(z, out=scratch)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # e <= 1, so max(e, z >= 0) is 1 where z >= 0 and e below (NaN stays NaN)
+    out = np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
-def _forward_trace(net: NetworkParams, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return per-layer pre-activations and activations (activations[0] = input)."""
-    activations = [x]
-    pre_acts = []
+def _forward_into(
+    net: NetworkParams, x: np.ndarray, acts: list[np.ndarray], scratch: np.ndarray
+) -> np.ndarray:
+    """Forward pass of the rows ``x`` writing layer m's activation into ``acts[m]``.
+
+    Hidden ReLU runs in place on the pre-activation; ``scratch`` is shaped
+    like the output.  Returns ``acts[-1]``.
+    """
     a = x
     last = net.n_layers - 1
-    for m, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T
+    for m, (w, b, z) in enumerate(zip(net.weights, net.biases, acts)):
+        np.matmul(a, w.T, out=z)
         z += b
-        pre_acts.append(z)
         if m < last:
-            a = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
         elif net.output_activation == "sigmoid":
-            a = _sigmoid(z)
-        else:
-            a = z
-        activations.append(a)
-    return pre_acts, activations
+            _sigmoid(z, out=z, scratch=scratch)
+        a = z
+    return a
 
 
 def forward(net: NetworkParams, x: np.ndarray) -> np.ndarray:
@@ -207,8 +216,8 @@ def forward(net: NetworkParams, x: np.ndarray) -> np.ndarray:
     x2 = x[None, :] if single else x
     if x2.shape[1] != net.layer_dims[0]:
         raise ValueError(f"input dim {x2.shape[1]} != network input dim {net.layer_dims[0]}")
-    _, activations = _forward_trace(net, x2)
-    out = activations[-1]
+    acts = [np.empty((x2.shape[0], d)) for d in net.layer_dims[1:]]
+    out = _forward_into(net, x2, acts, np.empty_like(acts[-1]))
     return out[0] if single else out
 
 
@@ -224,35 +233,74 @@ def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
+class Workspace:
+    """Buffers that :func:`backward` reuses across calls on one network shape.
+
+    Holds, for up to ``max_rows`` rows, one activation array per layer (each
+    later overwritten by that layer's delta), output-shaped scratch, a ReLU
+    mask, and one gradient vector.  A smaller batch uses leading-row views of
+    the same buffers.
+    """
+
+    def __init__(self, net: NetworkParams, max_rows: int) -> None:
+        dims = net.layer_dims
+        self.layer_dims = dims
+        self.max_rows = int(max_rows)
+        self._acts = [np.empty((self.max_rows, d)) for d in dims[1:]]
+        self._scratch = np.empty((self.max_rows, dims[-1]))
+        self._mask = np.empty(self.max_rows * max(dims[1:-1], default=0), dtype=bool)
+        self.grads = Gradients.from_flat(dims, np.empty(net.n_parameters))
+
+
 def backward(
-    net: NetworkParams, inputs: np.ndarray, targets: np.ndarray
+    net: NetworkParams, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
 ) -> tuple[float, Gradients]:
-    """Loss and its exact analytic gradient w.r.t. every weight and bias."""
+    """Loss and its exact analytic gradient w.r.t. every weight and bias.
+
+    Without ``work`` the gradients are a fresh vector.  With it, the pass runs
+    in the workspace's buffers and the returned ``Gradients`` is the
+    workspace's own vector: it stays valid only until the next call on
+    ``work``.
+    """
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     y = np.atleast_2d(np.asarray(targets, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("inputs and targets must have the same batch size")
     n_batch = x.shape[0]
-    pre_acts, activations = _forward_trace(net, x)
-    out = activations[-1]
+    if n_batch == 0:
+        raise ValueError("empty batch")
+    if n_batch != y.shape[0]:
+        raise ValueError("inputs and targets must have the same batch size")
+    if work is None:
+        work = Workspace(net, n_batch)
+    elif work.layer_dims != net.layer_dims or n_batch > work.max_rows:
+        raise ValueError(
+            f"workspace for dims {work.layer_dims} and {work.max_rows} rows cannot hold "
+            f"{n_batch} rows of a {net.layer_dims} network"
+        )
+    acts = [a[:n_batch] for a in work._acts]
+    delta = work._scratch[:n_batch]
+    out = _forward_into(net, x, acts, delta)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite activations in forward pass")
-    loss = mse_loss(out, y)
+    if y.shape != out.shape:
+        raise ValueError(f"shape mismatch: {out.shape} vs {y.shape}")
 
-    grads = Gradients.from_flat(net.layer_dims, np.empty(net.n_parameters))
-    delta = out - y
+    np.subtract(out, y, out=delta)
+    loss = float(np.mean(np.sum(delta * delta, axis=1)))
     delta *= 2.0 / n_batch
     if net.output_activation == "sigmoid":
         delta *= out
-        delta *= 1.0 - out
+        np.subtract(1.0, out, out=out)
+        delta *= out
+    grads = work.grads
     for m in range(net.n_layers - 1, -1, -1):
-        np.matmul(delta.T, activations[m], out=grads.d_weights[m])
+        a_in = acts[m - 1] if m > 0 else x
+        np.matmul(delta.T, a_in, out=grads.d_weights[m])
         delta.sum(axis=0, out=grads.d_biases[m])
         if m > 0:
-            delta = delta @ net.weights[m]
-            delta *= pre_acts[m - 1] > 0.0
+            # a = max(z, 0) > 0 exactly where z > 0, NaN included
+            mask = np.greater(a_in, 0.0, out=work._mask[: a_in.size].reshape(a_in.shape))
+            delta = np.matmul(delta, net.weights[m], out=a_in)
+            delta *= mask
     return loss, grads
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -109,6 +110,9 @@ class ExperimentConfig:
             raise ConfigError("no algorithms selected")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db must be non-empty")
+        for snr in (*self.snr_list_db, self.train_snr_db):
+            if math.isnan(snr) or snr == -math.inf:
+                raise ConfigError(f"SNRs must be finite or +inf (noiseless), got {snr}")
         if not 0.0 < self.scale_factor <= 1.0:
             raise ConfigError(f"scale_factor must lie in (0, 1], got {self.scale_factor}")
         QuantizerConfig(self.quantizer_epsilon)  # validates epsilon
@@ -342,6 +346,8 @@ class RandomnessRow:
     mode: str
     pass_ratio: float
     n_keys: int
+    axis: str | None = None
+    axis_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -396,6 +402,7 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> None:
                     "mode": r.mode,
                     "pass_ratio": r.pass_ratio,
                     "n_keys": r.n_keys,
+                    **({"axis": r.axis, "axis_value": r.axis_value} if r.axis else {}),
                 }
                 for r in report.randomness
             ],
@@ -431,6 +438,8 @@ def report_from_json(path: str | Path) -> ExperimentReport:
             mode=r["mode"],
             pass_ratio=float(r["pass_ratio"]),
             n_keys=int(r["n_keys"]),
+            axis=r.get("axis"),
+            axis_value=r.get("axis_value"),
         )
         for r in doc.get("randomness", [])
     ]
@@ -519,6 +528,19 @@ def _feature_pairs(ds: EnvironmentDataset, alice: Normalizer, bob: Normalizer) -
     )
 
 
+def _data_fields(cfg: ExperimentConfig) -> tuple:
+    """Every config field that ``_prepare_data`` reads (keep the two in step):
+    configs with equal fields get identical data."""
+    return (
+        cfg.ofdm,
+        cfg.source_envs,
+        cfg.target_envs,
+        (cfg.n_source, cfg.n_target, cfg.n_adapt, cfg.n_test),
+        cfg.snr_list_db,
+        cfg.train_snr_db,
+    )
+
+
 def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
     source_parts = []
     for spec in cfg.source_envs:
@@ -555,18 +577,20 @@ def _max_workers() -> int:
         raise ConfigError(f"FDKG_THREADS must be an integer, got {raw!r}") from None
 
 
-def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
+def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentReport:
     """Run every selected algorithm over every (target env, SNR) cell.
 
     ``key_sink(algorithm, env_id, snr_db, alice_keys, bob_keys)`` is called
     per cell when given, e.g. to write ASCII key dumps for external
-    randomness suites.
+    randomness suites.  ``data`` is the synthesized data of a run whose
+    scaled config has the same :func:`_data_fields` (``sweep`` passes it);
+    without it the data is synthesized here.
     """
     cfg = apply_scale(cfg)
     workers = _max_workers()
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
 
-    source_pairs, targets = _prepare_data(cfg)
+    source_pairs, targets = _prepare_data(cfg) if data is None else data
     dim = 2 * cfg.ofdm.n_subcarriers
     dims = [dim, *cfg.hidden_dims, dim]
     init = init_network(dims, seed=cfg.seed)
@@ -701,22 +725,33 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
     """Re-run the pipeline per axis value with shared seeds for pairing.
 
     The SNR axis is a single run (training is shared across test SNRs);
-    other axes re-run the pipeline once per value.  Rows carry the axis name
-    and value for plot-ready long-format output.
+    other axes re-run the pipeline once per value, synthesizing the data
+    again only when a value changes a data field (sizes, environments, SNRs).
+    Report and randomness rows carry the axis name and value for plot-ready
+    long-format output.
     """
     if not values:
         raise ConfigError("sweep values must be non-empty")
     if axis == "snr":
         report = run_pipeline(replace(cfg, snr_list_db=[float(v) for v in values]))
-        rows = [replace(r, axis="snr", axis_value=r.snr_db) for r in report.rows]
-        return ExperimentReport(rows=rows, randomness=report.randomness)
+        return ExperimentReport(
+            rows=[replace(r, axis="snr", axis_value=r.snr_db) for r in report.rows],
+            randomness=[replace(r, axis="snr", axis_value=r.snr_db) for r in report.randomness],
+        )
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     configs = [_with_axis(cfg, axis, value) for value in values]  # validate every value first
     rows: list[ReportRow] = []
     randomness: list[RandomnessRow] = []
+    data_fields, data = None, None
     for value, value_cfg in zip(values, configs):
-        report = run_pipeline(value_cfg)
-        rows.extend(replace(r, axis=axis, axis_value=float(value)) for r in report.rows)
-        randomness.extend(report.randomness)
+        scaled = apply_scale(value_cfg)
+        fields = _data_fields(scaled)
+        if fields != data_fields:
+            data = None  # release the previous dataset before synthesizing the next
+            data_fields, data = fields, _prepare_data(scaled)
+        report = run_pipeline(value_cfg, data=data)
+        tag = {"axis": axis, "axis_value": float(value)}
+        rows.extend(replace(r, **tag) for r in report.rows)
+        randomness.extend(replace(r, **tag) for r in report.randomness)
     return ExperimentReport(rows=rows, randomness=randomness)

@@ -28,6 +28,7 @@ from .neuralnet import (
     Gradients,
     NetworkParams,
     TrainConfig,
+    Workspace,
     adam_step,
     backward,
     init_adam_state,
@@ -64,27 +65,6 @@ class PairSet:
             inputs=np.concatenate([p.inputs for p in parts]),
             targets=np.concatenate([p.targets for p in parts]),
         )
-
-
-@dataclass(frozen=True)
-class TargetSplit:
-    """Disjoint adaptation/test portions of one target environment."""
-
-    adapt: PairSet
-    test: PairSet
-
-
-def split_pairs(pairs: PairSet, n_adapt: int) -> TargetSplit:
-    """First n_adapt samples adapt, the remainder test; disjoint by construction."""
-    if not 0 < n_adapt < pairs.n:
-        raise ConfigError(f"n_adapt must lie in (0, {pairs.n}), got {n_adapt}")
-    return TargetSplit(adapt=pairs.subset(slice(0, n_adapt)), test=pairs.subset(slice(n_adapt, None)))
-
-
-@dataclass(frozen=True)
-class DatasetSplits:
-    source: list[PairSet]
-    targets: list[TargetSplit]
 
 
 @dataclass(frozen=True)
@@ -163,11 +143,12 @@ def train_supervised(
         return init.copy()
     net = init
     state = init_adam_state(net)
+    work = Workspace(net, min(cfg.batch_size, data.n))
     rng = np.random.default_rng(cfg.seed)
     evals: list[float] = []
     recent: list[float] = []
     for idx in _minibatches(data.n, cfg.batch_size, cfg.max_iterations, rng):
-        loss, grads = backward(net, data.inputs[idx], data.targets[idx])
+        loss, grads = backward(net, data.inputs[idx], data.targets[idx], work)
         net, state = adam_step(net, grads, state, cfg.learning_rate)
         recent.append(loss)
         if loss_history is not None:
@@ -196,8 +177,9 @@ def adapt(
     state = init_adam_state(net)
     rng = np.random.default_rng(seed)
     batch = min(cfg.adapt_batch_size, adapt_set.n)
+    work = Workspace(net, batch)
     for idx in _minibatches(adapt_set.n, batch, cfg.adapt_steps, rng):
-        loss, grads = backward(net, adapt_set.inputs[idx], adapt_set.targets[idx])
+        loss, grads = backward(net, adapt_set.inputs[idx], adapt_set.targets[idx], work)
         net, state = adam_step(net, grads, state, cfg.outer_lr)
         if loss_history is not None:
             loss_history.append(loss)
@@ -205,15 +187,20 @@ def adapt(
 
 
 def inner_update(
-    global_params: NetworkParams, support_set: PairSet, alpha: float, g_tr: int
+    global_params: NetworkParams,
+    support_set: PairSet,
+    alpha: float,
+    g_tr: int,
+    work: Workspace | None = None,
 ) -> NetworkParams:
     """Per-task update: g_tr full-batch gradient-descent steps on the support loss
-    (returns ``global_params`` itself when g_tr is 0)."""
+    (returns ``global_params`` itself when g_tr is 0); ``work`` is passed to
+    :func:`backward`."""
     if support_set.n == 0:
         raise ValueError("support set must be non-empty")
     net = global_params
     for _ in range(g_tr):
-        _, grads = backward(net, support_set.inputs, support_set.targets)
+        _, grads = backward(net, support_set.inputs, support_set.targets, work)
         net = sgd_step(net, grads, alpha)
     return net
 
@@ -241,19 +228,22 @@ def meta_train(
         )
     net = init
     state = init_adam_state(net)
+    work = Workspace(net, max(max(t.support.n, t.query.n) for t in tasks.tasks))
+    meta_grads = Gradients.zeros_like(net)
     rng = np.random.default_rng(seed)
     totals: list[float] = []
     for _ in range(cfg.max_meta_iterations):
         chosen = rng.choice(tasks.n_tasks, size=cfg.task_batch, replace=False)
-        meta_grads = Gradients.zeros_like(net)
+        meta_grads.flat.fill(0.0)
         total_loss = 0.0
         for t in chosen:
             task = tasks.tasks[int(t)]
-            adapted = inner_update(net, task.support, cfg.inner_lr, cfg.inner_steps)
-            loss, grads = backward(adapted, task.query.inputs, task.query.targets)
+            adapted = inner_update(net, task.support, cfg.inner_lr, cfg.inner_steps, work)
+            loss, grads = backward(adapted, task.query.inputs, task.query.targets, work)
             total_loss += loss
             meta_grads.add_(grads)
-        net, state = adam_step(net, meta_grads.scaled(1.0 / cfg.task_batch), state, cfg.outer_lr)
+        meta_grads.flat *= 1.0 / cfg.task_batch
+        net, state = adam_step(net, meta_grads, state, cfg.outer_lr)
         totals.append(total_loss)
         if loss_history is not None:
             loss_history.append(total_loss)

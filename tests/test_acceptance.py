@@ -48,6 +48,8 @@ from fdkg.strategies import (
     partition_source_into_tasks,
 )
 
+from test_neuralnet import hidden_pre_activations
+
 SEEDS = range(5)
 
 
@@ -95,10 +97,7 @@ def test_criterion_1_gradient_correctness():
             b += rng.normal(0.0, 0.1, b.shape)
         x = rng.uniform(0.0, 1.0, (4, 6))
         y = rng.uniform(0.05, 0.95, (4, 4))
-        from fdkg.neuralnet import _forward_trace
-
-        pre, _ = _forward_trace(net, x)
-        if min(float(np.min(np.abs(z))) for z in pre[:-1]) < 1e-6:
+        if min(float(np.min(np.abs(z))) for z in hidden_pre_activations(net, x)) < 1e-6:
             continue  # resample away from ReLU kinks
         _, grads = backward(net, x, y)
         h = 1e-5

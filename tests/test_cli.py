@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -80,8 +81,17 @@ def forbid_work(monkeypatch):
         lambda d: d.update(hidden_dims=[0]),
         lambda d: d["meta_tasks"].update(n_tasks=100),
         lambda d: d["meta"].update(task_batch=5),
+        lambda d: d.update(train_snr_db=math.nan),
+        lambda d: d.update(snr_list_db=[-math.inf]),
     ],
-    ids=["zero_batch_size", "zero_hidden_dim", "too_many_meta_tasks", "task_batch_over_tasks"],
+    ids=[
+        "zero_batch_size",
+        "zero_hidden_dim",
+        "too_many_meta_tasks",
+        "task_batch_over_tasks",
+        "nan_train_snr",
+        "minus_inf_test_snr",
+    ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
     called = forbid_work(monkeypatch)

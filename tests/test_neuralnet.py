@@ -4,6 +4,7 @@ import pytest
 from fdkg.neuralnet import (
     Gradients,
     NetworkParams,
+    Workspace,
     _sigmoid,
     adam_step,
     backward,
@@ -22,6 +23,15 @@ def scalar_net(w: float, output_activation: str = "linear") -> NetworkParams:
         biases=[np.array([0.0])],
         output_activation=output_activation,
     )
+
+
+def hidden_pre_activations(net, x):
+    """Pre-activations of every hidden layer (the network keeps only the ReLU outputs)."""
+    pre, a = [], x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre.append(a @ w.T + b)
+        a = np.maximum(pre[-1], 0.0)
+    return pre
 
 
 def finite_difference_grads(net, x, y, h=1e-5):
@@ -129,10 +139,7 @@ def test_backward_matches_finite_differences():
             b += rng.normal(0.0, 0.1, b.shape)
         x = rng.uniform(0.0, 1.0, (4, 6))
         y = rng.uniform(0.05, 0.95, (4, 4))
-        from fdkg.neuralnet import _forward_trace
-
-        pre, _ = _forward_trace(net, x)
-        if min(float(np.min(np.abs(z))) for z in pre[:-1]) < 1e-6:
+        if min(float(np.min(np.abs(z))) for z in hidden_pre_activations(net, x)) < 1e-6:
             continue  # resample away from ReLU kinks
         _, grads = backward(net, x, y)
         fd_w, fd_b = finite_difference_grads(net, x, y)
@@ -273,3 +280,32 @@ def test_optimizer_steps_do_not_modify_inputs():
     assert np.array_equal(stepped.flat, stepped_before) and state.step_count == 2
     for out in (stepped, stepped2, moved):
         assert not np.shares_memory(out.flat, net.flat) and not out.allclose(net)
+
+
+@pytest.mark.parametrize("head", ["sigmoid", "linear"])
+def test_workspace_backward_bit_identical_to_fresh_call(head):
+    net = init_network([16, 24, 32, 8], seed=5, output_activation=head)
+    work = Workspace(net, 128)
+    rng = np.random.default_rng(6)
+    for rows in (128, 104, 128):  # a short final batch runs on leading-row views
+        x = rng.uniform(-1.0, 1.0, (rows, 16))
+        y = rng.uniform(0.0, 1.0, (rows, 8))
+        loss, grads = backward(net, x, y, work)
+        ref_loss, ref = backward(net, x, y)
+        assert grads is work.grads
+        assert loss == ref_loss
+        assert np.array_equal(grads.flat.view(np.uint64), ref.flat.view(np.uint64))
+    with pytest.raises(ValueError):
+        backward(net, np.zeros((129, 16)), np.zeros((129, 8)), work)
+    with pytest.raises(ValueError):
+        backward(init_network([16, 8], seed=5), np.zeros((4, 16)), np.zeros((4, 8)), work)
+
+
+def test_backward_without_workspace_returns_unaliased_gradients():
+    net = init_network([4, 6, 3], seed=8)
+    rng = np.random.default_rng(9)
+    _, first = backward(net, rng.uniform(size=(5, 4)), rng.uniform(size=(5, 3)))
+    kept = first.flat.copy()
+    _, second = backward(net, rng.uniform(size=(5, 4)), rng.uniform(size=(5, 3)))
+    assert not np.shares_memory(first.flat, second.flat)
+    assert np.array_equal(first.flat, kept)

@@ -16,6 +16,7 @@ from fdkg.pipeline import (
     ExperimentConfig,
     ExperimentReport,
     TaskSplitConfig,
+    _with_axis,
     apply_scale,
     desk_profile,
     emit_report,
@@ -275,10 +276,56 @@ class TestSweep:
         assert header[:2] == ["axis", "axis_value"]
 
     def test_sweep_json_roundtrip(self, tmp_path):
-        report = sweep(mini_config(snr=20.0), "snr", [20.0])
+        report = sweep(mini_config(snr=20.0, compute_randomness=True), "snr", [10.0, 20.0])
+        assert report.randomness
+        assert all(r.axis == "snr" and r.axis_value == r.snr_db for r in report.randomness)
         path = tmp_path / "s.json"
         emit_report(report, "json", path)
         assert report_from_json(path) == report
+
+    def test_sweep_randomness_rows_are_tagged_and_unique(self, tmp_path):
+        cfg = mini_config(snr=20.0, algorithms=["meta"], compute_randomness=True)
+        report = sweep(cfg, "g_tr", [1, 2])
+        keys = [
+            (r.axis, r.axis_value, r.algorithm, r.env, r.snr_db, r.test_name, r.mode)
+            for r in report.randomness
+        ]
+        assert {k[:2] for k in keys} == {("g_tr", 1.0), ("g_tr", 2.0)}
+        assert len(set(keys)) == len(keys)
+        path = tmp_path / "s.json"
+        emit_report(report, "json", path)
+        assert report_from_json(path) == report
+        # a plain run's randomness rows carry no axis fields
+        emit_report(run_pipeline(cfg), "json", path)
+        assert all("axis" not in r for r in json.loads(path.read_text())["randomness"])
+
+    @staticmethod
+    def count_synthesis(monkeypatch) -> list[int]:
+        import fdkg.pipeline as pipeline
+
+        calls, real = [], pipeline.generate_env_dataset
+        monkeypatch.setattr(
+            pipeline, "generate_env_dataset", lambda *a, **k: calls.append(a[1]) or real(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("axis, values", [("g_tr", [1, 2]), ("g_ad", [5, 10]), ("e_batch", [1, 2])])
+    def test_training_axis_synthesizes_data_once(self, monkeypatch, axis, values):
+        cfg = mini_config(snr=20.0, algorithms=["dtl", "meta"])
+        per_value = [
+            replace(r, axis=axis, axis_value=float(v))
+            for v in values
+            for r in run_pipeline(_with_axis(cfg, axis, v)).rows
+        ]
+        calls = self.count_synthesis(monkeypatch)
+        report = sweep(cfg, axis, values)
+        assert calls == [120, 24, 24]  # source, target adaptation and test sets of the first value
+        assert report.rows == per_value
+
+    def test_n_ad_axis_synthesizes_per_value(self, monkeypatch):
+        calls = self.count_synthesis(monkeypatch)
+        sweep(mini_config(snr=20.0, algorithms=["dtl"]), "n_ad", [12, 24])
+        assert calls == [120, 12, 24, 120, 24, 24]
 
 
 class TestModelIO:

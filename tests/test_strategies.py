@@ -21,7 +21,6 @@ from fdkg.strategies import (
     inner_update,
     meta_train,
     partition_source_into_tasks,
-    split_pairs,
     train_supervised,
 )
 
@@ -54,26 +53,6 @@ def toy_pairs(n: int, seed: int = 0, d: int = 6) -> PairSet:
 
 
 class TestPairSets:
-    def test_split_disjoint(self):
-        pairs = toy_pairs(10)
-        split = split_pairs(pairs, 4)
-        assert split.adapt.n == 4 and split.test.n == 6
-        assert np.array_equal(
-            np.vstack([split.adapt.inputs, split.test.inputs]), pairs.inputs
-        )
-
-    def test_dataset_splits_container(self):
-        from fdkg.strategies import DatasetSplits
-
-        source = toy_pairs(20, seed=1)
-        splits = DatasetSplits(source=[source], targets=[split_pairs(toy_pairs(10), 4)])
-        assert splits.source[0].n == 20
-        assert splits.targets[0].adapt.n + splits.targets[0].test.n == 10
-
-    def test_split_bounds(self):
-        with pytest.raises(ConfigError):
-            split_pairs(toy_pairs(5), 5)
-
     def test_concat(self):
         a, b = toy_pairs(3, seed=1), toy_pairs(4, seed=2)
         both = PairSet.concat([a, b])
