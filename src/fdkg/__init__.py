@@ -1,7 +1,6 @@
 """Multi-environment FDD-OFDM physical-layer secret key generation lab."""
 
 from .channel_sim import (
-    ChannelPair,
     Environment,
     EnvironmentDataset,
     EnvironmentSpec,

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import decode, encode
 from .errors import ConfigError, FormatError
 from .rng import ReusableStream, stream
 
@@ -63,18 +64,6 @@ class OfdmConfig:
         if self.bandwidth_hz <= 0:
             raise ConfigError("bandwidth_hz must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "f_ul_hz": self.f_ul_hz,
-            "f_dl_hz": self.f_dl_hz,
-            "n_subcarriers": self.n_subcarriers,
-            "bandwidth_hz": self.bandwidth_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OfdmConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
@@ -96,23 +85,8 @@ class EnvironmentSpec:
             raise ConfigError("delay_spread_s must be positive")
         if self.gain_decay <= 0:
             raise ConfigError("gain_decay must be positive")
-        # tuple-ify so configs loaded from JSON lists compare equal
+        # tuple-ify so specs built with a list compare equal and stay hashable
         object.__setattr__(self, "n_paths_range", (int(lo), int(hi)))
-
-    def to_dict(self) -> dict:
-        return {
-            "env_id": self.env_id,
-            "n_paths_range": list(self.n_paths_range),
-            "delay_spread_s": self.delay_spread_s,
-            "gain_decay": self.gain_decay,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvironmentSpec":
-        d = dict(d)
-        d["n_paths_range"] = tuple(d["n_paths_range"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -154,21 +128,6 @@ class Environment:
 
     def __hash__(self) -> int:
         return hash((self.spec, self.cluster_delays.tobytes()))
-
-
-@dataclass(frozen=True)
-class ChannelPair:
-    """One user's estimated uplink/downlink frequency responses."""
-
-    h_ul: np.ndarray
-    h_dl: np.ndarray
-    snr_db: float
-
-    def __post_init__(self) -> None:
-        if self.h_ul.shape != self.h_dl.shape:
-            raise ValueError("uplink and downlink responses must have equal length")
-        if not (np.all(np.isfinite(self.h_ul.view(float))) and np.all(np.isfinite(self.h_dl.view(float)))):
-            raise ValueError("channel responses must be finite")
 
 
 def build_environment(spec: EnvironmentSpec) -> Environment:
@@ -271,40 +230,11 @@ class EnvironmentDataset:
     def n_samples(self) -> int:
         return self.h_ul.shape[0]
 
-    def pair(self, i: int) -> ChannelPair:
-        return ChannelPair(h_ul=self.h_ul[i], h_dl=self.h_dl[i], snr_db=self.snr_db)
-
-    def subset(self, indices: np.ndarray | list[int] | slice) -> "EnvironmentDataset":
-        return EnvironmentDataset(
-            spec=self.spec,
-            ofdm=self.ofdm,
-            snr_db=self.snr_db,
-            h_ul=self.h_ul[indices],
-            h_dl=self.h_dl[indices],
-        )
-
 
 def _snr_tag(snr_db: float) -> float:
     # inf cannot be packed into a stream tag meaningfully distinct per run,
     # but no noise stream is consumed at infinite SNR anyway
     return 0.0 if math.isinf(snr_db) else float(snr_db)
-
-
-def generate_sample(
-    env: Environment, user_index: int, snr_db: float, cfg: OfdmConfig
-) -> ChannelPair:
-    """Generate one user's noisy band pair; independent of all other samples."""
-    paths = sample_user_channel(env, user_index)
-    h_ul = cfr(paths, cfg.f_ul_hz, cfg)
-    h_dl = cfr(paths, cfg.f_dl_hz, cfg)
-    if not math.isinf(snr_db):
-        seed = env.spec.seed
-        tag = _snr_tag(snr_db)
-        rng_ul = stream(seed, "noise-ul", env.spec.env_id, int(user_index), tag)
-        rng_dl = stream(seed, "noise-dl", env.spec.env_id, int(user_index), tag)
-        h_ul = add_estimation_noise(h_ul, snr_db, rng_ul)
-        h_dl = add_estimation_noise(h_dl, snr_db, rng_dl)
-    return ChannelPair(h_ul=h_ul, h_dl=h_dl, snr_db=snr_db)
 
 
 def generate_env_dataset(
@@ -316,10 +246,11 @@ def generate_env_dataset(
 ) -> EnvironmentDataset:
     """Generate ``n_samples`` band pairs for users start_index..start_index+n-1.
 
-    Deterministic given (spec, snr_db, cfg, start_index); generating any
-    sample alone (:func:`generate_sample`) yields the same values as inside
-    a batch.  The batch path re-keys pooled generators instead of building
-    fresh ones per sample, which produces identical draws much faster.
+    Deterministic given (spec, snr_db, cfg, start_index); each sample is drawn
+    from its own (seed, tag, env, user) streams, so generating a sample alone
+    (``n_samples=1``, ``start_index=i``) yields the same values as inside a
+    batch.  Pooled generators are re-keyed instead of built fresh per sample,
+    which produces identical draws much faster.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -343,6 +274,16 @@ def generate_env_dataset(
     return EnvironmentDataset(spec=env.spec, ofdm=cfg, snr_db=snr_db, h_ul=h_ul, h_dl=h_dl)
 
 
+@dataclass(frozen=True)
+class _Sidecar:
+    """The JSON file written next to a dataset; ``snr_db`` is null for +inf."""
+
+    environment: EnvironmentSpec
+    ofdm: OfdmConfig
+    snr_db: float | None
+    n_samples: int
+
+
 def write_dataset(ds: EnvironmentDataset, path: str | Path) -> None:
     """Write the binary dataset plus a JSON sidecar describing it.
 
@@ -361,12 +302,8 @@ def write_dataset(ds: EnvironmentDataset, path: str | Path) -> None:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IIQ", DATASET_VERSION, L, n))
         fh.write(body.tobytes())
-    sidecar = {
-        "environment": ds.spec.to_dict(),
-        "ofdm": ds.ofdm.to_dict(),
-        "snr_db": None if math.isinf(ds.snr_db) else ds.snr_db,
-        "n_samples": n,
-    }
+    snr = None if math.isinf(ds.snr_db) else ds.snr_db
+    sidecar = encode(_Sidecar(environment=ds.spec, ofdm=ds.ofdm, snr_db=snr, n_samples=n))
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
@@ -388,12 +325,16 @@ def read_dataset(path: str | Path) -> EnvironmentDataset:
     body = np.frombuffer(raw, dtype="<f8", offset=header_len).reshape(n, 4 * L)
     h_ul = body[:, 0 : 2 * L : 2] + 1j * body[:, 1 : 2 * L : 2]
     h_dl = body[:, 2 * L :: 2] + 1j * body[:, 2 * L + 1 :: 2]
-    sidecar = json.loads(Path(str(path) + ".json").read_text())
-    snr = sidecar["snr_db"]
+    try:
+        side = decode(_Sidecar, json.loads(Path(str(path) + ".json").read_text()), f"{path}.json")
+    except (ConfigError, json.JSONDecodeError) as exc:
+        raise FormatError(f"bad dataset sidecar: {exc}") from exc
+    if side.n_samples != n:
+        raise FormatError(f"{path}.json: n_samples {side.n_samples} != {n} in the dataset")
     return EnvironmentDataset(
-        spec=EnvironmentSpec.from_dict(sidecar["environment"]),
-        ofdm=OfdmConfig.from_dict(sidecar["ofdm"]),
-        snr_db=math.inf if snr is None else float(snr),
+        spec=side.environment,
+        ofdm=side.ofdm,
+        snr_db=math.inf if side.snr_db is None else side.snr_db,
         h_ul=np.ascontiguousarray(h_ul),
         h_dl=np.ascontiguousarray(h_dl),
     )

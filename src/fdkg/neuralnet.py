@@ -131,11 +131,6 @@ class AdamState:
     def __post_init__(self) -> None:
         self.scratch = np.empty_like(self.m)
 
-    m_weights = property(lambda self: _views(self.layer_dims, self.m)[0])
-    m_biases = property(lambda self: _views(self.layer_dims, self.m)[1])
-    v_weights = property(lambda self: _views(self.layer_dims, self.v)[0])
-    v_biases = property(lambda self: _views(self.layer_dims, self.v)[1])
-
 
 def init_adam_state(
     net: NetworkParams, rho1: float = RHO1_DEFAULT, rho2: float = RHO2_DEFAULT

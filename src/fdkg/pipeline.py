@@ -22,9 +22,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,6 +36,7 @@ from .channel_sim import (
     build_environment,
     generate_env_dataset,
 )
+from .codec import decode, encode
 from .errors import ConfigError
 from .features import Normalizer, complex_to_features, fit_normalizer, normalize
 from .keygen import (
@@ -78,8 +77,22 @@ class TaskSplitConfig:
     support_fraction: float = 0.5
 
 
-@dataclass(frozen=True)
+# field name -> (group, key) for the ExperimentConfig fields the config JSON nests
+JSON_GROUPS = {
+    "source_envs": ("environments", "source"),
+    "target_envs": ("environments", "targets"),
+    **{name: ("sizes", name) for name in ("n_source", "n_target", "n_adapt", "n_test")},
+}
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """One experiment; the config JSON holds these fields in this order, with
+    ``source_envs``/``target_envs`` and ``n_source``..``n_test`` grouped as
+    :data:`JSON_GROUPS` says."""
+
+    seed: int = 0
+    scale_factor: float = 1.0
     ofdm: OfdmConfig
     source_envs: list[EnvironmentSpec]
     target_envs: list[EnvironmentSpec]
@@ -95,8 +108,6 @@ class ExperimentConfig:
     train: TrainConfig
     meta: MetaConfig
     meta_tasks: TaskSplitConfig
-    seed: int = 0
-    scale_factor: float = 1.0
     record_wall_time: bool = True
     compute_randomness: bool = False
 
@@ -141,76 +152,23 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "scale_factor": self.scale_factor,
-            "ofdm": self.ofdm.to_dict(),
-            "environments": {
-                "source": [e.to_dict() for e in self.source_envs],
-                "targets": [e.to_dict() for e in self.target_envs],
-            },
-            "sizes": {
-                "n_source": self.n_source,
-                "n_target": self.n_target,
-                "n_adapt": self.n_adapt,
-                "n_test": self.n_test,
-            },
-            "snr_list_db": list(self.snr_list_db),
-            "train_snr_db": self.train_snr_db,
-            "algorithms": list(self.algorithms),
-            "quantizer_epsilon": self.quantizer_epsilon,
-            "hidden_dims": list(self.hidden_dims),
-            "train": {
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "max_iterations": self.train.max_iterations,
-                "seed": self.train.seed,
-                "eval_interval": self.train.eval_interval,
-            },
-            "meta": {
-                "inner_lr": self.meta.inner_lr,
-                "outer_lr": self.meta.outer_lr,
-                "inner_steps": self.meta.inner_steps,
-                "task_batch": self.meta.task_batch,
-                "adapt_steps": self.meta.adapt_steps,
-                "max_meta_iterations": self.meta.max_meta_iterations,
-                "adapt_batch_size": self.meta.adapt_batch_size,
-            },
-            "meta_tasks": {
-                "n_tasks": self.meta_tasks.n_tasks,
-                "samples_per_task": self.meta_tasks.samples_per_task,
-                "support_fraction": self.meta_tasks.support_fraction,
-            },
-            "record_wall_time": self.record_wall_time,
-            "compute_randomness": self.compute_randomness,
-        }
+        doc: dict = {}
+        for name, value in encode(self).items():
+            group, key = JSON_GROUPS.get(name, (None, name))
+            (doc.setdefault(group, {}) if group else doc)[key] = value
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            envs = d["environments"]
-            sizes = d["sizes"]
-            return cls(
-                ofdm=OfdmConfig.from_dict(d["ofdm"]),
-                source_envs=[EnvironmentSpec.from_dict(e) for e in envs["source"]],
-                target_envs=[EnvironmentSpec.from_dict(e) for e in envs["targets"]],
-                n_source=sizes["n_source"],
-                n_target=sizes["n_target"],
-                n_adapt=sizes["n_adapt"],
-                n_test=sizes["n_test"],
-                snr_list_db=[float(v) for v in d["snr_list_db"]],
-                train_snr_db=float(d["train_snr_db"]),
-                algorithms=list(d["algorithms"]),
-                quantizer_epsilon=float(d["quantizer_epsilon"]),
-                hidden_dims=[int(v) for v in d["hidden_dims"]],
-                train=TrainConfig(**d["train"]),
-                meta=MetaConfig(**d["meta"]),
-                meta_tasks=TaskSplitConfig(**d["meta_tasks"]),
-                seed=int(d.get("seed", 0)),
-                scale_factor=float(d.get("scale_factor", 1.0)),
-                record_wall_time=bool(d.get("record_wall_time", True)),
-                compute_randomness=bool(d.get("compute_randomness", False)),
-            )
+            flat = dict(d)
+            groups = {group: flat.pop(group) for group in {g for g, _ in JSON_GROUPS.values()}}
+            for name, (group, key) in JSON_GROUPS.items():
+                flat[name] = groups[group][key]
+            unknown = sorted(f"{g}.{k}" for g in groups for k in groups[g] if (g, k) not in JSON_GROUPS.values())
+            if unknown:
+                raise ConfigError(f"config: unknown fields {unknown}")
+            return decode(cls, flat, "config")
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
         except TypeError as exc:
@@ -385,65 +343,13 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> None:
             writer.writerow([_fmt(getattr(row, c)) for c in columns])
         path.write_text(buf.getvalue())
     elif fmt == "json":
-        doc = {
-            "rows": [
-                {
-                    **{c: getattr(row, c) for c in CSV_COLUMNS},
-                    **({"axis": row.axis, "axis_value": row.axis_value} if row.axis else {}),
-                }
-                for row in report.rows
-            ],
-            "randomness": [
-                {
-                    "algorithm": r.algorithm,
-                    "env": r.env,
-                    "snr_db": r.snr_db,
-                    "test_name": r.test_name,
-                    "mode": r.mode,
-                    "pass_ratio": r.pass_ratio,
-                    "n_keys": r.n_keys,
-                    **({"axis": r.axis, "axis_value": r.axis_value} if r.axis else {}),
-                }
-                for r in report.randomness
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json.dumps(encode(report), indent=2) + "\n")
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
 
 
 def report_from_json(path: str | Path) -> ExperimentReport:
-    doc = json.loads(Path(path).read_text())
-    rows = [
-        ReportRow(
-            algorithm=r["algorithm"],
-            env=int(r["env"]),
-            snr_db=float(r["snr_db"]),
-            nmse=float(r["nmse"]),
-            ker=float(r["ker"]),
-            kgr=float(r["kgr"]),
-            wall_time_s=float(r["wall_time_s"]),
-            seed=int(r["seed"]),
-            axis=r.get("axis"),
-            axis_value=r.get("axis_value"),
-        )
-        for r in doc["rows"]
-    ]
-    rand = [
-        RandomnessRow(
-            algorithm=r["algorithm"],
-            env=int(r["env"]),
-            snr_db=float(r["snr_db"]),
-            test_name=r["test_name"],
-            mode=r["mode"],
-            pass_ratio=float(r["pass_ratio"]),
-            n_keys=int(r["n_keys"]),
-            axis=r.get("axis"),
-            axis_value=r.get("axis_value"),
-        )
-        for r in doc.get("randomness", [])
-    ]
-    return ExperimentReport(rows=rows, randomness=rand)
+    return decode(ExperimentReport, json.loads(Path(path).read_text()), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +475,6 @@ def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
     return source_pairs, targets
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FDKG_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"FDKG_THREADS must be an integer, got {raw!r}") from None
-
-
 def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentReport:
     """Run every selected algorithm over every (target env, SNR) cell.
 
@@ -587,7 +485,6 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentR
     without it the data is synthesized here.
     """
     cfg = apply_scale(cfg)
-    workers = _max_workers()
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
 
     source_pairs, targets = _prepare_data(cfg) if data is None else data
@@ -645,15 +542,7 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentR
                 nets[key] = adapt(meta_init, target.adapt_pairs, cfg.meta, seed=adapt_seed)
                 prep_time[key] = meta_elapsed + (clock() - t0)
 
-    cells = [
-        (alg, target, snr)
-        for alg in cfg.algorithms
-        for target in targets
-        for snr in cfg.snr_list_db
-    ]
-
-    def evaluate(cell) -> tuple[ReportRow, list[RandomnessRow]]:
-        alg, target, snr = cell
+    def evaluate(alg: str, target: _TargetData, snr: float) -> tuple[ReportRow, list[RandomnessRow]]:
         env_id = target.spec.env_id
         test = target.test_pairs[snr]
         t0 = clock()
@@ -674,28 +563,17 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentR
             wall_time_s=elapsed,
             seed=cfg.seed,
         )
-        rand_rows: list[RandomnessRow] = []
-        if cfg.compute_randomness and keys.alice_keys:
-            for b in run_battery(keys.alice_keys):
-                rand_rows.append(
-                    RandomnessRow(
-                        algorithm=alg,
-                        env=env_id,
-                        snr_db=snr,
-                        test_name=b.test_name,
-                        mode=b.mode,
-                        pass_ratio=b.pass_ratio,
-                        n_keys=b.n_keys,
-                    )
-                )
-        return row, rand_rows
+        battery = run_battery(keys.alice_keys) if cfg.compute_randomness and keys.alice_keys else []
+        return row, [
+            RandomnessRow(alg, env_id, snr, b.test_name, b.mode, b.pass_ratio, b.n_keys) for b in battery
+        ]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, cells))
-    else:
-        results = [evaluate(c) for c in cells]
-
+    results = [
+        evaluate(alg, target, snr)
+        for alg in cfg.algorithms
+        for target in targets
+        for snr in cfg.snr_list_db
+    ]
     order = {alg: i for i, alg in enumerate(KNOWN_ALGORITHMS)}
     results.sort(key=lambda pair: (order[pair[0].algorithm], pair[0].env, pair[0].snr_db))
     rows = [r for r, _ in results]

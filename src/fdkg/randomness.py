@@ -389,8 +389,7 @@ def run_battery(
     rows: list[BatteryRow] = []
 
     def per_key(name: str, fn: Callable[..., TestResult], **params) -> None:
-        passed = sum(1 for k in key_bits if fn(k, **params).passed)
-        rows.append(BatteryRow(name, "per_key", n_keys, passed / n_keys, params=params))
+        rows.append(BatteryRow(name, "per_key", n_keys, pass_ratio(key_bits, fn, **params), params=params))
 
     per_key("approximate_entropy", approximate_entropy_test, m=m_apen)
     per_key("block_frequency", block_frequency_test, block_len=block_len)

@@ -259,11 +259,13 @@ def partition_source_into_tasks(
     support_fraction: float = 0.5,
     seed: int = 0,
 ) -> MetaTaskSet:
-    """Split the first n_tasks*samples_per_task source samples into disjoint tasks.
+    """Cut n_tasks disjoint tasks of samples_per_task samples from the source pool.
 
-    Samples are assigned by a seeded permutation; within each task the first
-    ``support_fraction`` of samples form the support set and the rest the
-    query set, so support and query never overlap.
+    The n_tasks*samples_per_task samples are drawn from the whole pool by a
+    seeded permutation, so every part of a pooled multi-environment source
+    set can reach a task; within each task the first ``support_fraction`` of
+    samples form the support set and the rest the query set, so support and
+    query never overlap.
     """
     needed = n_tasks * samples_per_task
     if needed > source.n:
@@ -274,7 +276,7 @@ def partition_source_into_tasks(
     if n_support == 0 or n_support == samples_per_task:
         raise ConfigError("support_fraction leaves an empty support or query set")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(needed)
+    order = rng.permutation(source.n)[:needed]
     tasks = []
     for t in range(n_tasks):
         chunk = order[t * samples_per_task : (t + 1) * samples_per_task]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from fdkg.channel_sim import (
     build_environment,
     cfr,
     generate_env_dataset,
-    generate_sample,
     read_dataset,
     sample_user_channel,
     write_dataset,
@@ -168,9 +168,9 @@ def test_sample_order_independence():
     cfg = OfdmConfig()
     env = build_environment(EnvironmentSpec(env_id=4, seed=19))
     batch = generate_env_dataset(env, 10, 15.0, cfg)
-    lone = generate_sample(env, 7, 15.0, cfg)
-    assert np.array_equal(batch.h_ul[7], lone.h_ul)
-    assert np.array_equal(batch.h_dl[7], lone.h_dl)
+    lone = generate_env_dataset(env, 1, 15.0, cfg, start_index=7)
+    assert np.array_equal(batch.h_ul[7], lone.h_ul[0])
+    assert np.array_equal(batch.h_dl[7], lone.h_dl[0])
 
 
 def test_dataset_start_index_slices_user_range():
@@ -208,3 +208,19 @@ def test_dataset_bad_magic_and_truncation(tmp_path):
     (tmp_path / "short.bin").write_bytes(raw[:-8])
     with pytest.raises(FormatError):
         read_dataset(tmp_path / "short.bin")
+
+
+def test_dataset_sidecar_null_snr_and_checks(tmp_path):
+    env = build_environment(EnvironmentSpec(env_id=2, seed=23))
+    ds = generate_env_dataset(env, 3, math.inf, OfdmConfig(n_subcarriers=8))
+    path = tmp_path / "ds.bin"
+    write_dataset(ds, path)
+    sidecar = tmp_path / "ds.bin.json"
+    doc = json.loads(sidecar.read_text())
+    assert list(doc) == ["environment", "ofdm", "snr_db", "n_samples"]
+    assert doc["snr_db"] is None and doc["n_samples"] == 3
+    assert read_dataset(path).snr_db == math.inf
+    for bad in ({**doc, "n_samples": 4}, {**doc, "extra": 1}, {**doc, "ofdm": {"n_subcarriers": "8"}}):
+        sidecar.write_text(json.dumps(bad))
+        with pytest.raises(FormatError):
+            read_dataset(path)

@@ -83,6 +83,9 @@ def forbid_work(monkeypatch):
         lambda d: d["meta"].update(task_batch=5),
         lambda d: d.update(train_snr_db=math.nan),
         lambda d: d.update(snr_list_db=[-math.inf]),
+        lambda d: d["train"].update(batch_size=1.5),
+        lambda d: d.update(record_wall_time="false"),
+        lambda d: d.update(compute_randomnes=True),
     ],
     ids=[
         "zero_batch_size",
@@ -91,6 +94,9 @@ def forbid_work(monkeypatch):
         "task_batch_over_tasks",
         "nan_train_snr",
         "minus_inf_test_snr",
+        "fractional_batch_size",
+        "string_bool",
+        "unknown_key",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -99,16 +105,6 @@ def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit)
     result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
-    assert called == []
-
-
-def test_run_malformed_fdkg_threads_exits_2_before_any_work(tmp_path, monkeypatch):
-    called = forbid_work(monkeypatch)
-    monkeypatch.setenv("FDKG_THREADS", "abc")
-    cfg_path = write_mini_config(tmp_path)
-    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
-    assert result.exit_code == 2, result.output
-    assert "FDKG_THREADS" in result.output
     assert called == []
 
 

@@ -174,8 +174,8 @@ def test_adam_first_step_closed_form():
     state = init_adam_state(net)
     stepped, state = adam_step(net, grads, state, 1e-3)
     # m=0.1, v=0.001, bias-corrected m^=1, v^=1 => delta = -lr/(1+eps)
-    assert state.m_weights[0][0, 0] == pytest.approx(0.1, abs=1e-15)
-    assert state.v_weights[0][0, 0] == pytest.approx(0.001, abs=1e-15)
+    assert state.m[0] == pytest.approx(0.1, abs=1e-15)
+    assert state.v[0] == pytest.approx(0.001, abs=1e-15)
     assert stepped.weights[0][0, 0] == pytest.approx(-1e-3 / (1 + 1e-8), abs=1e-12)
 
 

@@ -78,10 +78,29 @@ class TestConfig:
             mini_config(quantizer_epsilon=0.7)
 
     def test_json_roundtrip(self, tmp_path):
-        cfg = desk_profile(seed=3)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
-        assert ExperimentConfig.from_json(path) == cfg
+        mini = mini_config(algorithms=["meta"])  # +inf SNRs, two source environments
+        mini = replace(mini, source_envs=[*mini.source_envs, replace(mini.source_envs[0], env_id=5)])
+        for cfg in (desk_profile(seed=3), paper_profile(seed=1), mini):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg.to_dict()))
+            assert ExperimentConfig.from_json(path) == cfg
+
+    def test_json_layout(self):
+        doc = desk_profile().to_dict()
+        assert list(doc) == [
+            "seed", "scale_factor", "ofdm", "environments", "sizes", "snr_list_db",
+            "train_snr_db", "algorithms", "quantizer_epsilon", "hidden_dims", "train",
+            "meta", "meta_tasks", "record_wall_time", "compute_randomness",
+        ]
+        assert list(doc["environments"]) == ["source", "targets"]
+        assert list(doc["sizes"]) == ["n_source", "n_target", "n_adapt", "n_test"]
+        assert doc["environments"]["source"][0]["n_paths_range"] == [48, 64]
+
+    def test_from_dict_unknown_group_key(self):
+        doc = desk_profile().to_dict()
+        doc["sizes"]["n_tset"] = 5
+        with pytest.raises(ConfigError, match="sizes.n_tset"):
+            ExperimentConfig.from_dict(doc)
 
     def test_from_json_missing_field(self, tmp_path):
         doc = desk_profile().to_dict()

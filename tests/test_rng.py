@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdkg.rng import stream
+from fdkg.rng import ReusableStream, stream
 
 
 def test_same_key_same_stream():
@@ -38,3 +38,17 @@ def test_rejects_unsupported_tags():
         stream(0, object())
     with pytest.raises(TypeError):
         stream(0, True)
+
+
+def test_rekey_reproduces_stream():
+    pool = ReusableStream()
+    for tags in (("user", 2, 7), ("noise-ul", 2, 7, 15.0)):
+        used = pool.rekey(5, "user", 2, 6)
+        used.uniform(size=2)
+        used.integers(0, 100, dtype=np.int32)  # leaves a partly used buffer and a 32-bit half behind
+        fresh = stream(5, *tags)
+        rekeyed = pool.rekey(5, *tags)
+        assert rekeyed.integers(0, 2**31, dtype=np.int32) == fresh.integers(0, 2**31, dtype=np.int32)
+        assert rekeyed.integers(48, 65) == fresh.integers(48, 65)
+        assert np.array_equal(rekeyed.uniform(0.5, 1.0, 8), fresh.uniform(0.5, 1.0, 8))
+        assert np.array_equal(rekeyed.standard_normal(8), fresh.standard_normal(8))

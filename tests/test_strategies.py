@@ -242,14 +242,16 @@ class TestPartition:
         with pytest.raises(ConfigError):
             partition_source_into_tasks(toy_pairs(99), n_tasks=1, samples_per_task=100)
 
-    def test_union_is_prefix_of_source(self):
-        data = toy_pairs(300, seed=42)
-        tasks = partition_source_into_tasks(data, n_tasks=2, samples_per_task=100, seed=3)
-        used = np.concatenate(
-            [np.vstack([t.support.inputs, t.query.inputs]) for t in tasks.tasks]
-        )
-        expected = data.inputs[:200]
-        assert sorted(map(tuple, used)) == sorted(map(tuple, expected))
+    def test_tasks_draw_from_the_whole_pool(self):
+        # a pooled two-environment source set: first half labelled 1, second half 2
+        data = toy_pairs(200, seed=42)
+        labels = np.repeat([1.0, 2.0], 100)
+        pooled = PairSet(inputs=np.column_stack([labels, data.inputs]), targets=data.targets)
+        tasks = partition_source_into_tasks(pooled, n_tasks=4, samples_per_task=20, seed=3)
+        used = np.concatenate([np.vstack([t.support.inputs, t.query.inputs]) for t in tasks.tasks])
+        assert len(used) == 80
+        assert set(used[:, 0]) == {1.0, 2.0}
+        assert len({tuple(row) for row in used}) == 80  # no sample reused
 
 
 class TestInputsUntouched:
