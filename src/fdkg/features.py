@@ -74,6 +74,7 @@ def normalize(norm: Normalizer, x_raw: np.ndarray) -> np.ndarray:
         )
     span = norm.col_max - norm.col_min
     degenerate = span < norm.eps_guard
-    safe_span = np.where(degenerate, 1.0, span)
-    out = (x_raw - norm.col_min) / safe_span
-    return np.where(degenerate, 0.0, out)
+    out = np.subtract(x_raw, norm.col_min)
+    out /= np.where(degenerate, 1.0, span)
+    out[..., degenerate] = 0.0
+    return out

@@ -17,6 +17,9 @@ import numpy as np
 RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 ADAM_EPS = 1e-8
+# elements per adam_step chunk: the six 256 kB slices one chunk touches (gradient,
+# two moments, parameters, two scratch) stay in a 2 MB L2 across its 14 passes
+ADAM_CHUNK = 32768
 
 
 def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -116,8 +119,8 @@ class Gradients:
 class AdamState:
     """ADAM step counter and moments laid out like ``NetworkParams.flat``.
 
-    ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place, using
-    ``scratch`` as its work buffer."""
+    ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place, using the
+    two chunk-sized vectors ``scratch`` as its work buffers."""
 
     layer_dims: tuple[int, ...]
     m: np.ndarray
@@ -126,10 +129,11 @@ class AdamState:
     rho1: float = RHO1_DEFAULT
     rho2: float = RHO2_DEFAULT
     epsilon_stab: float = ADAM_EPS
-    scratch: np.ndarray = field(init=False, repr=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.scratch = np.empty_like(self.m)
+        n = min(self.m.size, ADAM_CHUNK)
+        self.scratch = (np.empty(n), np.empty(n))
 
 
 def init_adam_state(
@@ -302,34 +306,38 @@ def backward(
 def adam_step(
     net: NetworkParams, grads: Gradients, state: AdamState, lr: float
 ) -> tuple[NetworkParams, AdamState]:
-    """One bias-corrected ADAM update.
+    """One bias-corrected ADAM update of ``net`` in place.
 
-    The moments and step count of ``state`` are updated in place and
-    ``state`` is returned with new parameters; ``net`` and ``grads`` are only
-    read, so callers may share them.
+    The parameters of ``net`` and the moments and step count of ``state`` are
+    updated in place, chunk by chunk, and both objects are returned;
+    ``grads`` is only read.  Callers that must keep a network copy it first.
     """
     t = state.step_count + 1
     c1 = 1.0 - state.rho1**t
     c2 = 1.0 - state.rho2**t
-    g, m, v, s = grads.flat, state.m, state.v, state.scratch
-    # m = rho1*m + (1-rho1)*g, v = rho2*v + (1-rho2)*g*g in this operation order (bit-identical)
-    m *= state.rho1
-    np.multiply(g, 1.0 - state.rho1, out=s)
-    m += s
-    v *= state.rho2
-    np.multiply(g, g, out=s)
-    s *= 1.0 - state.rho2
-    v += s
-    # theta - lr*(m/c1) / (sqrt(v/c2) + eps)
-    np.divide(v, c2, out=s)
-    np.sqrt(s, out=s)
-    s += state.epsilon_stab
-    theta = np.divide(m, c1)
-    theta *= lr
-    theta /= s
-    np.subtract(net.flat, theta, out=theta)
+    s_full, u_full = state.scratch
+    for lo in range(0, net.flat.size, ADAM_CHUNK):
+        hi = lo + ADAM_CHUNK
+        g, m, v, theta = grads.flat[lo:hi], state.m[lo:hi], state.v[lo:hi], net.flat[lo:hi]
+        s, u = s_full[: g.size], u_full[: g.size]
+        # m = rho1*m + (1-rho1)*g, v = rho2*v + (1-rho2)*g*g in this operation order (bit-identical)
+        m *= state.rho1
+        np.multiply(g, 1.0 - state.rho1, out=s)
+        m += s
+        v *= state.rho2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - state.rho2
+        v += s
+        # theta - lr*(m/c1) / (sqrt(v/c2) + eps)
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += state.epsilon_stab
+        np.divide(m, c1, out=u)
+        u *= lr
+        u /= s
+        theta -= u
     state.step_count = t
-    return NetworkParams.from_flat(net.layer_dims, theta, net.output_activation), state
+    return net, state
 
 
 def sgd_step(net: NetworkParams, grads: Gradients, lr: float) -> NetworkParams:

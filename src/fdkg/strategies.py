@@ -139,9 +139,9 @@ def train_supervised(
     """
     if data.n == 0:
         raise ValueError("training data must be non-empty")
+    net = init.copy()  # adam_step updates it in place
     if cfg.max_iterations == 0:
-        return init.copy()
-    net = init
+        return net
     state = init_adam_state(net)
     work = Workspace(net, min(cfg.batch_size, data.n))
     rng = np.random.default_rng(cfg.seed)
@@ -149,7 +149,7 @@ def train_supervised(
     recent: list[float] = []
     for idx in _minibatches(data.n, cfg.batch_size, cfg.max_iterations, rng):
         loss, grads = backward(net, data.inputs[idx], data.targets[idx], work)
-        net, state = adam_step(net, grads, state, cfg.learning_rate)
+        adam_step(net, grads, state, cfg.learning_rate)
         recent.append(loss)
         if loss_history is not None:
             loss_history.append(loss)
@@ -171,16 +171,16 @@ def adapt(
     """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates."""
     if adapt_set.n == 0:
         raise ValueError("adaptation data must be non-empty")
+    net = pretrained.copy()  # adam_step updates it in place
     if cfg.adapt_steps == 0:
-        return pretrained.copy()
-    net = pretrained
+        return net
     state = init_adam_state(net)
     rng = np.random.default_rng(seed)
     batch = min(cfg.adapt_batch_size, adapt_set.n)
     work = Workspace(net, batch)
     for idx in _minibatches(adapt_set.n, batch, cfg.adapt_steps, rng):
         loss, grads = backward(net, adapt_set.inputs[idx], adapt_set.targets[idx], work)
-        net, state = adam_step(net, grads, state, cfg.outer_lr)
+        adam_step(net, grads, state, cfg.outer_lr)
         if loss_history is not None:
             loss_history.append(loss)
     return net
@@ -226,7 +226,7 @@ def meta_train(
         raise ConfigError(
             f"task_batch {cfg.task_batch} exceeds available tasks {tasks.n_tasks}"
         )
-    net = init
+    net = init.copy()  # adam_step updates it in place
     state = init_adam_state(net)
     work = Workspace(net, max(max(t.support.n, t.query.n) for t in tasks.tasks))
     meta_grads = Gradients.zeros_like(net)
@@ -243,7 +243,7 @@ def meta_train(
             total_loss += loss
             meta_grads.add_(grads)
         meta_grads.flat *= 1.0 / cfg.task_batch
-        net, state = adam_step(net, meta_grads, state, cfg.outer_lr)
+        adam_step(net, meta_grads, state, cfg.outer_lr)
         totals.append(total_loss)
         if loss_history is not None:
             loss_history.append(total_loss)

@@ -86,6 +86,7 @@ def forbid_work(monkeypatch):
         lambda d: d["train"].update(batch_size=1.5),
         lambda d: d.update(record_wall_time="false"),
         lambda d: d.update(compute_randomnes=True),
+        lambda d: d["environments"]["targets"].append(dict(d["environments"]["targets"][0], seed=99)),
     ],
     ids=[
         "zero_batch_size",
@@ -97,6 +98,7 @@ def forbid_work(monkeypatch):
         "fractional_batch_size",
         "string_bool",
         "unknown_key",
+        "duplicate_target_env_id",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -106,6 +108,20 @@ def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit)
     assert result.exit_code == 2, result.output
     assert "config error" in result.output
     assert called == []
+
+
+def test_run_numeric_failure_in_a_concurrent_chain_exits_3(tmp_path, monkeypatch):
+    import fdkg.pipeline as pipeline
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite activations in forward pass")
+
+    monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: 3)
+    monkeypatch.setattr(pipeline, "meta_train", diverge)
+    cfg_path = write_config_dict(tmp_path, lambda d: d.update(algorithms=["direct", "joint", "meta"]))
+    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 3, result.output
+    assert "numeric failure" in result.output
 
 
 def test_run_config_with_seed_flag_conflicts(tmp_path):

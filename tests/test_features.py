@@ -60,6 +60,20 @@ def test_constant_column_maps_to_zero():
     assert out[1] == 0.5
 
 
+def test_normalize_bit_equal_to_masked_formula():
+    rng = np.random.default_rng(4)
+    train = rng.normal(size=(50, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+    train[:, 2] = 7.25  # a degenerate column
+    norm = fit_normalizer(train)
+    span = norm.col_max - norm.col_min
+    deg = span < norm.eps_guard
+    safe_span = np.where(deg, 1.0, span)
+    x = np.vstack([rng.normal(size=(40, 6)) * 50.0, [[np.nan, np.inf, np.nan, -np.inf, -0.0, 1e300]]])
+    for rows in (x, x[0], x[-1]):  # a batch and 1-D inputs
+        want = np.where(deg, 0.0, (rows - norm.col_min) / safe_span)
+        assert np.array_equal(normalize(norm, rows).view(np.uint64), want.view(np.uint64))
+
+
 def test_normalize_midpoint_and_endpoints():
     norm = fit_normalizer(np.array([[2.0], [6.0]]))
     assert normalize(norm, np.array([4.0]))[0] == 0.5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fdkg.neuralnet import (
+    ADAM_CHUNK,
     Gradients,
     NetworkParams,
     Workspace,
@@ -266,20 +267,44 @@ def test_copy_shares_no_memory():
 
 
 def test_optimizer_steps_do_not_modify_inputs():
+    """adam_step updates the network and the state it is given in place and
+    only reads the gradients; sgd_step reads both and returns new parameters."""
     net = init_network([4, 6, 3], seed=2)
     x = np.random.default_rng(3).uniform(0.0, 1.0, (5, 4))
     _, grads = backward(net, x, np.full((5, 3), 0.25))
     net_before, grads_before = net.flat.copy(), grads.flat.copy()
-    state = init_adam_state(net)
-    stepped, returned = adam_step(net, grads, state, 1e-2)
-    assert returned is state  # the moments are updated in place
-    stepped_before = stepped.flat.copy()
-    stepped2, _ = adam_step(stepped, grads, state, 1e-2)
     moved = sgd_step(net, grads, 0.1)
     assert np.array_equal(net.flat, net_before) and np.array_equal(grads.flat, grads_before)
-    assert np.array_equal(stepped.flat, stepped_before) and state.step_count == 2
-    for out in (stepped, stepped2, moved):
-        assert not np.shares_memory(out.flat, net.flat) and not out.allclose(net)
+    assert not np.shares_memory(moved.flat, net.flat) and not moved.allclose(net)
+
+    state = init_adam_state(net)
+    buffers = (net.flat, state.m, state.v)
+    for step in (1, 2):
+        stepped, returned = adam_step(net, grads, state, 1e-2)
+        assert stepped is net and returned is state and state.step_count == step
+        assert all(a is b for a, b in zip((net.flat, state.m, state.v), buffers))
+        assert np.array_equal(grads.flat, grads_before)
+    assert not np.array_equal(net.flat, net_before)
+
+
+def test_chunked_adam_bitwise_equal_to_whole_vector_formula():
+    n = 2 * ADAM_CHUNK + 7  # two full chunks and a short one
+    dims = (n - 1, 1)
+    rng = np.random.default_rng(21)
+    net = NetworkParams.from_flat(dims, rng.normal(size=n), "linear")
+    state = init_adam_state(net)
+    assert [s.size for s in state.scratch] == [ADAM_CHUNK, ADAM_CHUNK]
+    theta, m, v = net.flat.copy(), np.zeros(n), np.zeros(n)
+    lr, r1, r2, eps = 1e-3, state.rho1, state.rho2, state.epsilon_stab
+    for t in (1, 2, 3):
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
+        adam_step(net, Gradients.from_flat(dims, g), state, lr)
+        # the former whole-vector update, operation for operation
+        m = m * r1 + g * (1.0 - r1)
+        v = v * r2 + g * g * (1.0 - r2)
+        theta = theta - m / (1.0 - r1**t) * lr / (np.sqrt(v / (1.0 - r2**t)) + eps)
+        for got, want in ((net.flat, theta), (state.m, m), (state.v, v)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("head", ["sigmoid", "linear"])

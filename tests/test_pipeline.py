@@ -1,6 +1,9 @@
+import functools
 import json
 import math
+import os
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +148,13 @@ class TestConfig:
         with pytest.raises(ConfigError):  # 13 x 20 = 260 > 240
             replace(cfg, source_envs=two_envs, meta_tasks=TaskSplitConfig(n_tasks=13, samples_per_task=20))
 
+    def test_duplicate_target_env_ids_rejected(self):
+        cfg = mini_config(algorithms=["meta"])
+        twin = replace(cfg.target_envs[0], seed=cfg.target_envs[0].seed + 7)  # same env_id
+        with pytest.raises(ConfigError, match="distinct env_ids"):
+            replace(cfg, target_envs=[cfg.target_envs[0], twin])
+        replace(cfg, target_envs=[cfg.target_envs[0], replace(twin, env_id=3)])
+
     def test_meta_task_feasibility_rechecked_after_scaling(self):
         cfg = mini_config(algorithms=["meta"])
         # at scale 0.1: n_source 12, n_tasks max(1, 0) = 1, so 1 x 20 samples > 12
@@ -227,6 +237,132 @@ class TestDeterminismAndCells:
         assert row_full.nmse == row_alone.nmse
         assert row_full.ker == row_alone.ker
         assert row_full.kgr == row_alone.kgr
+
+
+def two_target_config() -> ExperimentConfig:
+    cfg = mini_config(algorithms=["identity", "direct", "joint", "dtl", "meta"])
+    second = replace(cfg.target_envs[0], env_id=3, seed=cfg.target_envs[0].seed + 1)
+    return replace(cfg, target_envs=[cfg.target_envs[0], second])
+
+
+class TestModelChains:
+    """Model chains run concurrently when BLAS is pinned to one thread; the test
+    modules import numpy before fdkg (width 1), so these tests set the width."""
+
+    @staticmethod
+    def set_width(monkeypatch, width):
+        import fdkg.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: width)
+
+    def test_concurrent_and_serial_reports_equal(self, monkeypatch):
+        cfg = replace(two_target_config(), compute_randomness=True)
+        reports = []
+        for width in (1, 3):
+            self.set_width(monkeypatch, width)
+            reports.append(run_pipeline(cfg))
+        assert reports[0] == reports[1]
+        assert len(reports[0].rows) == 10
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_failed_chain_is_reraised_and_stops_the_queue(self, monkeypatch, width):
+        import fdkg.pipeline as pipeline
+
+        calls = []
+
+        def diverge(*args, _name, **kwargs):
+            calls.append(_name)
+            raise FloatingPointError("non-finite activations in forward pass")
+
+        for name in ("train_supervised", "meta_train", "adapt"):
+            monkeypatch.setattr(pipeline, name, functools.partial(diverge, _name=name))
+        self.set_width(monkeypatch, width)
+        # four chains in queue order: meta, joint env 2, joint env 3, pretrain;
+        # each fails at its first training call, so a call marks a started chain
+        with pytest.raises(FloatingPointError):
+            run_pipeline(two_target_config())
+        assert 1 <= len(calls) <= width and "adapt" not in calls
+        if width == 1:
+            assert calls == ["meta_train"]
+
+    def test_runner_starts_nothing_after_a_failure(self):
+        import threading
+
+        from fdkg.pipeline import _run_chains
+
+        slow_started, started = threading.Event(), []
+
+        def fail():
+            started.append("fail")
+            slow_started.wait(5.0)
+            raise ZeroDivisionError("chain 0")
+
+        def slow():
+            started.append("slow")
+            slow_started.set()
+            time.sleep(0.2)  # still running while the failure is recorded
+            return "done"
+
+        later = lambda: started.append("later")
+        with pytest.raises(ZeroDivisionError, match="chain 0"):
+            _run_chains([fail, slow, later, later], width=2)
+        assert sorted(started) == ["fail", "slow"]
+
+    def test_runner_runs_every_chain_once_under_fast_switching(self):
+        import sys
+
+        from fdkg.pipeline import _run_chains
+
+        runs = [0] * 300
+
+        def chain(i):
+            runs[i] += 1
+            return i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # more threads than cores, switching as often as possible
+            results = _run_chains([functools.partial(chain, i) for i in range(300)], width=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(300)) and runs == [1] * 300
+
+
+BLAS_PROBE = (
+    "import os, sys\n"
+    "if sys.argv[1] == 'numpy-first':\n"
+    "    import numpy\n"
+    "import fdkg\n"
+    "from fdkg.pipeline import _chain_width\n"
+    "print(*[os.environ.get(v, '-') for v in fdkg._BLAS_VARS], _chain_width(64))\n"
+)
+
+
+def probe_blas(mode: str, **env_vars) -> list[str]:
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fdkg
+
+    env = {k: v for k, v in os.environ.items() if k not in fdkg._BLAS_VARS}
+    env.update(env_vars, PYTHONPATH=str(Path(fdkg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, mode], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
+
+
+class TestBlasPin:
+    def test_import_pins_one_blas_thread(self):
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert probe_blas("plain") == ["1", "1", "1", str(min(cores, 64))]
+
+    def test_user_thread_count_is_kept_and_chains_run_serially(self):
+        assert probe_blas("plain", OPENBLAS_NUM_THREADS="4") == ["4", "1", "1", "1"]
+
+    def test_numpy_imported_first_leaves_environment_alone(self):
+        assert probe_blas("numpy-first") == ["-", "-", "-", "1"]
 
 
 class TestSnrMonotonicity:
