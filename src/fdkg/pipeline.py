@@ -26,7 +26,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -575,7 +574,9 @@ def _run_chains(chains: list[Callable], width: int) -> list:
     """Run ``chains`` on this thread and ``width - 1`` helper threads, which
     take them in order from one shared queue; return their results in chain
     order.  Once a chain raises, no further chain starts, and its error is
-    raised here after the chains already running have ended."""
+    raised here after the chains already running have ended.  An interrupt
+    (Ctrl-C) also starts no further chain but is raised at once: the helpers
+    are daemon threads, so the process need not wait for their chains."""
     results: list = [None] * len(chains)
     queue = iter(enumerate(chains))
     lock = threading.Lock()
@@ -590,16 +591,21 @@ def _run_chains(chains: list[Callable], width: int) -> list:
             idx, chain = item
             try:
                 results[idx] = chain()
-            except BaseException as exc:
+            except Exception as exc:
                 with lock:
                     errors.append(exc)
 
-    # this thread works too, so it reuses the memory that data synthesis freed here
-    with ThreadPoolExecutor(max(1, width - 1)) as pool:
-        helpers = [pool.submit(work) for _ in range(width - 1)]
-        work()
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(width - 1)]
     for helper in helpers:
-        helper.result()
+        helper.start()
+    try:
+        work()  # this thread works too, so it reuses the memory that data synthesis freed here
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:
+        with lock:
+            errors.append(exc)
+        raise
     if errors:
         raise errors[0]
     return results
@@ -616,6 +622,10 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentR
     """
     cfg = apply_scale(cfg)
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
+    if cfg.record_wall_time and _BLAS_PINNED:
+        # with one BLAS thread a stage computes only on its own thread, so that
+        # thread's CPU time is the stage's time alone, whatever runs beside it
+        clock = time.thread_time
 
     source_pairs, targets = _prepare_data(cfg) if data is None else data
     dim = 2 * cfg.ofdm.n_subcarriers

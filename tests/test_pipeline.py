@@ -308,6 +308,51 @@ class TestModelChains:
             _run_chains([fail, slow, later, later], width=2)
         assert sorted(started) == ["fail", "slow"]
 
+    def test_interrupt_stops_the_queue_without_waiting_for_helpers(self):
+        import _thread
+        import threading
+
+        from fdkg.pipeline import _run_chains
+
+        both, release, started, threads = threading.Barrier(2), threading.Event(), [], []
+
+        def slow():
+            started.append("slow")
+            threads.append(threading.current_thread())
+            if both.wait(5.0) == 0:  # once both chains run, one of them presses Ctrl-C
+                _thread.interrupt_main()
+            deadline = time.monotonic() + 3.0
+            while not release.is_set() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return "done"
+
+        later = lambda: started.append("later")
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _run_chains([slow, slow, later], width=2)
+        assert time.monotonic() - t0 < 2.0  # the helper's chain was still running
+        release.set()
+        for thread in threads:
+            if thread is not threading.main_thread():
+                thread.join(5.0)
+        assert started == ["slow", "slow"]
+
+    def test_stage_times_exclude_waits_when_blas_is_pinned(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        train = pipeline.train_supervised
+
+        def waiting(*args, **kwargs):
+            time.sleep(0.5)  # stands in for waiting while other chains hold the cores
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_supervised", waiting)
+        monkeypatch.setattr(pipeline, "_BLAS_PINNED", True)
+        self.set_width(monkeypatch, 2)
+        cfg = replace(two_target_config(), algorithms=["direct", "joint"], record_wall_time=True)
+        rows = run_pipeline(cfg).rows
+        assert len(rows) == 4 and all(0.0 < row.wall_time_s < 0.5 for row in rows)
+
     def test_runner_runs_every_chain_once_under_fast_switching(self):
         import sys
 
