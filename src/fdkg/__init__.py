@@ -23,15 +23,12 @@ from .channel_sim import (
     build_environment,
     cfr,
     generate_env_dataset,
-    read_dataset,
     sample_user_channel,
-    write_dataset,
 )
 from .errors import ConfigError, FormatError
 from .features import (
     Normalizer,
     complex_to_features,
-    features_to_complex,
     fit_normalizer,
     normalize,
 )
@@ -40,7 +37,6 @@ from .keygen import (
     QuantizerConfig,
     align_keys,
     inverse_normal_cdf,
-    key_error_rate,
     key_generation_ratio,
     quantize_guardband,
     read_key_dump,

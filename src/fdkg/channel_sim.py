@@ -24,21 +24,14 @@ channel power.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, encode
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .rng import ReusableStream, stream
-
-DATASET_MAGIC = b"FDKG-DS"
-DATASET_VERSION = 1
 
 TWO_PI = 2.0 * math.pi
 
@@ -226,10 +219,6 @@ class EnvironmentDataset:
         if self.h_ul.ndim != 2 or self.h_ul.shape[1] != self.ofdm.n_subcarriers:
             raise ValueError("dataset arrays must be (n_samples, n_subcarriers)")
 
-    @property
-    def n_samples(self) -> int:
-        return self.h_ul.shape[0]
-
 
 def _snr_tag(snr_db: float) -> float:
     # inf cannot be packed into a stream tag meaningfully distinct per run,
@@ -272,69 +261,3 @@ def generate_env_dataset(
         h_ul[i] = hu
         h_dl[i] = hd
     return EnvironmentDataset(spec=env.spec, ofdm=cfg, snr_db=snr_db, h_ul=h_ul, h_dl=h_dl)
-
-
-@dataclass(frozen=True)
-class _Sidecar:
-    """The JSON file written next to a dataset; ``snr_db`` is null for +inf."""
-
-    environment: EnvironmentSpec
-    ofdm: OfdmConfig
-    snr_db: float | None
-    n_samples: int
-
-
-def write_dataset(ds: EnvironmentDataset, path: str | Path) -> None:
-    """Write the binary dataset plus a JSON sidecar describing it.
-
-    Layout: magic, version u32, L u32, n_samples u64, then per sample the
-    uplink response as L little-endian (re, im) f64 pairs followed by the
-    downlink response in the same encoding.
-    """
-    path = Path(path)
-    n, L = ds.h_ul.shape
-    body = np.empty((n, 4 * L), dtype="<f8")
-    body[:, 0 : 2 * L : 2] = ds.h_ul.real
-    body[:, 1 : 2 * L : 2] = ds.h_ul.imag
-    body[:, 2 * L :: 2] = ds.h_dl.real
-    body[:, 2 * L + 1 :: 2] = ds.h_dl.imag
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<IIQ", DATASET_VERSION, L, n))
-        fh.write(body.tobytes())
-    snr = None if math.isinf(ds.snr_db) else ds.snr_db
-    sidecar = encode(_Sidecar(environment=ds.spec, ofdm=ds.ofdm, snr_db=snr, n_samples=n))
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def read_dataset(path: str | Path) -> EnvironmentDataset:
-    """Read a dataset written by :func:`write_dataset` (sidecar required)."""
-    path = Path(path)
-    raw = path.read_bytes()
-    header_len = len(DATASET_MAGIC) + 16
-    if len(raw) < header_len:
-        raise FormatError(f"{path}: truncated header")
-    if raw[: len(DATASET_MAGIC)] != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:7]!r}")
-    version, L, n = struct.unpack_from("<IIQ", raw, len(DATASET_MAGIC))
-    if version != DATASET_VERSION:
-        raise FormatError(f"{path}: unsupported dataset version {version}")
-    expected = header_len + n * 4 * L * 8
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    body = np.frombuffer(raw, dtype="<f8", offset=header_len).reshape(n, 4 * L)
-    h_ul = body[:, 0 : 2 * L : 2] + 1j * body[:, 1 : 2 * L : 2]
-    h_dl = body[:, 2 * L :: 2] + 1j * body[:, 2 * L + 1 :: 2]
-    try:
-        side = decode(_Sidecar, json.loads(Path(str(path) + ".json").read_text()), f"{path}.json")
-    except (ConfigError, json.JSONDecodeError) as exc:
-        raise FormatError(f"bad dataset sidecar: {exc}") from exc
-    if side.n_samples != n:
-        raise FormatError(f"{path}.json: n_samples {side.n_samples} != {n} in the dataset")
-    return EnvironmentDataset(
-        spec=side.environment,
-        ofdm=side.ofdm,
-        snr_db=math.inf if side.snr_db is None else side.snr_db,
-        h_ul=np.ascontiguousarray(h_ul),
-        h_dl=np.ascontiguousarray(h_dl),
-    )

@@ -11,6 +11,7 @@ from .errors import ConfigError, FormatError
 from .keygen import read_key_dump, write_key_dump
 from .model_io import load_model
 from .pipeline import (
+    SWEEP_AXES,
     ExperimentConfig,
     desk_profile,
     emit_report,
@@ -90,7 +91,7 @@ def run(config: str | None, out: str, seed: int | None, profile: str, dump_keys:
 
 
 @main.command(name="sweep")
-@click.option("--axis", required=True, type=click.Choice(["snr", "n_ad", "g_ad", "g_tr", "e_batch"]))
+@click.option("--axis", required=True, type=click.Choice(SWEEP_AXES))
 @click.option("--values", required=True, help="Comma-separated axis values, e.g. 1,2,4.")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default="out")

@@ -24,23 +24,12 @@ def complex_to_features(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h.real, h.imag], axis=-1)
 
 
-def features_to_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complex_to_features`."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    if d % 2 != 0:
-        raise ValueError(f"feature dimension must be even, got {d}")
-    half = d // 2
-    return x[..., :half] + 1j * x[..., half:]
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Per-dimension min/max statistics of a training feature set."""
 
     col_min: np.ndarray
     col_max: np.ndarray
-    eps_guard: float = EPS_GUARD
 
     def __post_init__(self) -> None:
         if self.col_min.shape != self.col_max.shape:
@@ -51,7 +40,7 @@ class Normalizer:
     @property
     def degenerate(self) -> np.ndarray:
         """Boolean mask of dimensions with (numerically) zero range."""
-        return (self.col_max - self.col_min) < self.eps_guard
+        return (self.col_max - self.col_min) < EPS_GUARD
 
 
 def fit_normalizer(train: np.ndarray) -> Normalizer:
@@ -72,9 +61,8 @@ def normalize(norm: Normalizer, x_raw: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: x has {x_raw.shape[-1]}, normalizer has {norm.col_min.shape[0]}"
         )
-    span = norm.col_max - norm.col_min
-    degenerate = span < norm.eps_guard
+    degenerate = norm.degenerate
     out = np.subtract(x_raw, norm.col_min)
-    out /= np.where(degenerate, 1.0, span)
+    out /= np.where(degenerate, 1.0, norm.col_max - norm.col_min)
     out[..., degenerate] = 0.0
     return out

@@ -103,14 +103,13 @@ class KeyMaterial:
 
     bits: np.ndarray  # uint8, one entry per retained position
     retained_mask: np.ndarray  # bool, full feature length
-    party: str
 
     def __post_init__(self) -> None:
         if len(self.bits) != int(np.count_nonzero(self.retained_mask)):
             raise ValueError("bits length must equal the number of retained positions")
 
 
-def quantize_guardband(x: np.ndarray, cfg: QuantizerConfig, party: str = "alice") -> KeyMaterial:
+def quantize_guardband(x: np.ndarray, cfg: QuantizerConfig) -> KeyMaterial:
     """Quantize one feature vector into bits, dropping the guard band.
 
     Thresholds are mu + sigma * z(0.5 -/+ epsilon) with mu and sigma the
@@ -128,7 +127,7 @@ def quantize_guardband(x: np.ndarray, cfg: QuantizerConfig, party: str = "alice"
     if sigma < SIGMA_FLOOR:
         warnings.warn("degenerate feature vector: all positions dropped", stacklevel=2)
         mask = np.zeros(x.size, dtype=bool)
-        return KeyMaterial(bits=np.empty(0, dtype=np.uint8), retained_mask=mask, party=party)
+        return KeyMaterial(bits=np.empty(0, dtype=np.uint8), retained_mask=mask)
     if cfg.epsilon == 0.0:
         t_lo = t_hi = mu
     else:
@@ -138,7 +137,7 @@ def quantize_guardband(x: np.ndarray, cfg: QuantizerConfig, party: str = "alice"
     ones = (x >= t_hi) & ~zeros
     mask = zeros | ones
     bits = ones[mask].astype(np.uint8)
-    return KeyMaterial(bits=bits, retained_mask=mask, party=party)
+    return KeyMaterial(bits=bits, retained_mask=mask)
 
 
 def align_keys(a: KeyMaterial, b: KeyMaterial) -> tuple[np.ndarray, np.ndarray]:
@@ -153,18 +152,6 @@ def align_keys(a: KeyMaterial, b: KeyMaterial) -> tuple[np.ndarray, np.ndarray]:
         return full[common]
 
     return extract(a), extract(b)
-
-
-def key_error_rate(bits_a: np.ndarray, bits_b: np.ndarray) -> float:
-    """Fraction of disagreeing bits; an empty key counts as fully erroneous."""
-    bits_a = np.asarray(bits_a)
-    bits_b = np.asarray(bits_b)
-    if bits_a.shape != bits_b.shape:
-        raise ValueError("aligned keys must have equal length")
-    if bits_a.size == 0:
-        warnings.warn("no usable key bits: KER defined as 1.0", stacklevel=2)
-        return 1.0
-    return float(np.count_nonzero(bits_a != bits_b)) / bits_a.size
 
 
 def key_generation_ratio(aligned_length: int, n_subcarriers: int) -> float:

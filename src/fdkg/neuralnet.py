@@ -127,9 +127,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    rho1: float = RHO1_DEFAULT
-    rho2: float = RHO2_DEFAULT
-    epsilon_stab: float = ADAM_EPS
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -137,11 +134,9 @@ class AdamState:
         self.scratch = (np.empty(n), np.empty(n))
 
 
-def init_adam_state(
-    net: NetworkParams, rho1: float = RHO1_DEFAULT, rho2: float = RHO2_DEFAULT
-) -> AdamState:
+def init_adam_state(net: NetworkParams) -> AdamState:
     n = net.n_parameters
-    return AdamState(net.layer_dims, m=np.zeros(n), v=np.zeros(n), rho1=rho1, rho2=rho2)
+    return AdamState(net.layer_dims, m=np.zeros(n), v=np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -314,25 +309,25 @@ def adam_step(
     ``grads`` is only read.  Callers that must keep a network copy it first.
     """
     t = state.step_count + 1
-    c1 = 1.0 - state.rho1**t
-    c2 = 1.0 - state.rho2**t
+    c1 = 1.0 - RHO1_DEFAULT**t
+    c2 = 1.0 - RHO2_DEFAULT**t
     s_full, u_full = state.scratch
     for lo in range(0, net.flat.size, ADAM_CHUNK):
         hi = lo + ADAM_CHUNK
         g, m, v, theta = grads.flat[lo:hi], state.m[lo:hi], state.v[lo:hi], net.flat[lo:hi]
         s, u = s_full[: g.size], u_full[: g.size]
         # m = rho1*m + (1-rho1)*g, v = rho2*v + (1-rho2)*g*g in this operation order (bit-identical)
-        m *= state.rho1
-        np.multiply(g, 1.0 - state.rho1, out=s)
+        m *= RHO1_DEFAULT
+        np.multiply(g, 1.0 - RHO1_DEFAULT, out=s)
         m += s
-        v *= state.rho2
+        v *= RHO2_DEFAULT
         np.multiply(g, g, out=s)
-        s *= 1.0 - state.rho2
+        s *= 1.0 - RHO2_DEFAULT
         v += s
         # theta - lr*(m/c1) / (sqrt(v/c2) + eps)
         np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
-        s += state.epsilon_stab
+        s += ADAM_EPS
         np.divide(m, c1, out=u)
         u *= lr
         u /= s

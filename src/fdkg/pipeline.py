@@ -34,7 +34,6 @@ import numpy as np
 
 from . import _BLAS_PINNED
 from .channel_sim import (
-    Environment,
     EnvironmentDataset,
     EnvironmentSpec,
     OfdmConfig,
@@ -171,11 +170,12 @@ class ExperimentConfig:
         try:
             flat = dict(d)
             groups = {group: flat.pop(group) for group in {g for g, _ in JSON_GROUPS.values()}}
-            for name, (group, key) in JSON_GROUPS.items():
-                flat[name] = groups[group][key]
-            unknown = sorted(f"{g}.{k}" for g in groups for k in groups[g] if (g, k) not in JSON_GROUPS.values())
+            unknown = sorted(flat.keys() & JSON_GROUPS.keys())  # grouped fields are unknown at the top
+            unknown += sorted(f"{g}.{k}" for g in groups for k in groups[g] if (g, k) not in JSON_GROUPS.values())
             if unknown:
                 raise ConfigError(f"config: unknown fields {unknown}")
+            for name, (group, key) in JSON_GROUPS.items():
+                flat[name] = groups[group][key]
             return decode(cls, flat, "config")
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
@@ -409,8 +409,8 @@ def score_keys(
     alice_keys: list[np.ndarray] = []
     bob_keys: list[np.ndarray] = []
     for i in range(predicted.shape[0]):
-        ka = quantize_guardband(predicted[i], qcfg, party="alice")
-        kb = quantize_guardband(actual[i], qcfg, party="bob")
+        ka = quantize_guardband(predicted[i], qcfg)
+        kb = quantize_guardband(actual[i], qcfg)
         bits_a, bits_b = align_keys(ka, kb)
         errors += int(np.count_nonzero(bits_a != bits_b))
         total += bits_a.size
@@ -686,14 +686,18 @@ SWEEP_AXES = ("snr", "n_ad", "g_ad", "g_tr", "e_batch")
 
 
 def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
+    """``cfg`` with the integer ``axis`` set to ``value``, which must be a whole number."""
+    if not float(value).is_integer():  # also rejects NaN and +-inf
+        raise ConfigError(f"sweep axis {axis} takes whole numbers, got {value}")
+    n = int(value)
     if axis == "n_ad":
-        return replace(cfg, n_adapt=int(value))
+        return replace(cfg, n_adapt=n)
     if axis == "g_ad":
-        return replace(cfg, meta=replace(cfg.meta, adapt_steps=int(value)))
+        return replace(cfg, meta=replace(cfg.meta, adapt_steps=n))
     if axis == "g_tr":
-        return replace(cfg, meta=replace(cfg.meta, inner_steps=int(value)))
+        return replace(cfg, meta=replace(cfg.meta, inner_steps=n))
     if axis == "e_batch":
-        return replace(cfg, meta=replace(cfg.meta, task_batch=int(value)))
+        return replace(cfg, meta=replace(cfg.meta, task_batch=n))
     raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 

@@ -28,6 +28,10 @@ ALPHA = 0.01
 DFT_MIN_BITS = 1000
 RANK_MATRIX_SIDE = 32
 RANK_MIN_MATRICES = 38
+# test parameters of the battery, reported in each row's params
+BLOCK_LEN = 8
+M_APEN = 2
+M_SERIAL = 2
 
 
 # ---------------------------------------------------------------------------
@@ -90,32 +94,16 @@ def igamc(a: float, x: float) -> float:
 # bit streams and results
 
 
-@dataclass(frozen=True)
-class BitStream:
-    """Binary sequence under test."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits)
-        if bits.size < 1:
-            raise ValueError("bit stream must contain at least one bit")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bit stream entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits.astype(np.uint8))
-
-    @property
-    def n(self) -> int:
-        return self.bits.size
-
-
 def as_bits(s) -> np.ndarray:
-    """Coerce a BitStream, 0/1 string, or 0/1 sequence to a uint8 array."""
-    if isinstance(s, BitStream):
-        return s.bits
+    """Check a 0/1 string or 0/1 sequence and return it as a new uint8 array."""
     if isinstance(s, str):
-        return BitStream(np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")).bits
-    return BitStream(np.asarray(s)).bits
+        s = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
+    bits = np.asarray(s)
+    if bits.size < 1:
+        raise ValueError("bit stream must contain at least one bit")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("bit stream entries must be 0 or 1")
+    return bits.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -372,9 +360,7 @@ class BatteryRow:
     params: dict = field(default_factory=dict)
 
 
-def run_battery(
-    keys: list, block_len: int = 8, m_apen: int = 2, m_serial: int = 2
-) -> list[BatteryRow]:
+def run_battery(keys: list) -> list[BatteryRow]:
     """Apply every test to a collection of keys, Table-style.
 
     Per-key tests report the fraction of keys passing at significance 0.01;
@@ -391,8 +377,8 @@ def run_battery(
     def per_key(name: str, fn: Callable[..., TestResult], **params) -> None:
         rows.append(BatteryRow(name, "per_key", n_keys, pass_ratio(key_bits, fn, **params), params=params))
 
-    per_key("approximate_entropy", approximate_entropy_test, m=m_apen)
-    per_key("block_frequency", block_frequency_test, block_len=block_len)
+    per_key("approximate_entropy", approximate_entropy_test, m=M_APEN)
+    per_key("block_frequency", block_frequency_test, block_len=BLOCK_LEN)
 
     both_cusum = sum(
         1
@@ -426,5 +412,5 @@ def run_battery(
     )
 
     per_key("runs", runs_test)
-    per_key("serial", serial_test, m=m_serial)
+    per_key("serial", serial_test, m=M_SERIAL)
     return rows

@@ -14,9 +14,6 @@ import struct
 
 import numpy as np
 
-StreamTag = "int | float | str"
-
-
 def _derive_key(seed: int, tags: tuple) -> np.ndarray:
     h = hashlib.sha256()
     h.update(struct.pack("<q", int(seed)))

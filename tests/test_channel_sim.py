@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,11 +11,9 @@ from fdkg.channel_sim import (
     build_environment,
     cfr,
     generate_env_dataset,
-    read_dataset,
     sample_user_channel,
-    write_dataset,
 )
-from fdkg.errors import ConfigError, FormatError
+from fdkg.errors import ConfigError
 from fdkg.rng import stream
 
 
@@ -179,48 +176,3 @@ def test_dataset_start_index_slices_user_range():
     full = generate_env_dataset(env, 10, 15.0, cfg)
     tail = generate_env_dataset(env, 4, 15.0, cfg, start_index=6)
     assert np.array_equal(full.h_ul[6:], tail.h_ul)
-
-
-def test_dataset_roundtrip(tmp_path):
-    cfg = OfdmConfig()
-    env = build_environment(EnvironmentSpec(env_id=2, seed=23))
-    ds = generate_env_dataset(env, 12, 10.0, cfg)
-    path = tmp_path / "env2.fdkg"
-    write_dataset(ds, path)
-    back = read_dataset(path)
-    assert back.spec == ds.spec
-    assert back.ofdm == ds.ofdm
-    assert back.snr_db == ds.snr_db
-    assert np.array_equal(back.h_ul, ds.h_ul)
-    assert np.array_equal(back.h_dl, ds.h_dl)
-
-
-def test_dataset_bad_magic_and_truncation(tmp_path):
-    cfg = OfdmConfig()
-    env = build_environment(EnvironmentSpec(env_id=2, seed=23))
-    ds = generate_env_dataset(env, 3, 10.0, cfg)
-    path = tmp_path / "ds.bin"
-    write_dataset(ds, path)
-    raw = path.read_bytes()
-    (tmp_path / "bad.bin").write_bytes(b"NOPE" + raw[4:])
-    with pytest.raises(FormatError):
-        read_dataset(tmp_path / "bad.bin")
-    (tmp_path / "short.bin").write_bytes(raw[:-8])
-    with pytest.raises(FormatError):
-        read_dataset(tmp_path / "short.bin")
-
-
-def test_dataset_sidecar_null_snr_and_checks(tmp_path):
-    env = build_environment(EnvironmentSpec(env_id=2, seed=23))
-    ds = generate_env_dataset(env, 3, math.inf, OfdmConfig(n_subcarriers=8))
-    path = tmp_path / "ds.bin"
-    write_dataset(ds, path)
-    sidecar = tmp_path / "ds.bin.json"
-    doc = json.loads(sidecar.read_text())
-    assert list(doc) == ["environment", "ofdm", "snr_db", "n_samples"]
-    assert doc["snr_db"] is None and doc["n_samples"] == 3
-    assert read_dataset(path).snr_db == math.inf
-    for bad in ({**doc, "n_samples": 4}, {**doc, "extra": 1}, {**doc, "ofdm": {"n_subcarriers": "8"}}):
-        sidecar.write_text(json.dumps(bad))
-        with pytest.raises(FormatError):
-            read_dataset(path)

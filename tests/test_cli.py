@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fdkg.cli import main
 from fdkg.features import fit_normalizer
 from fdkg.keygen import write_key_dump
 from fdkg.model_io import save_model
 from fdkg.neuralnet import init_network
+from fdkg.pipeline import JSON_GROUPS, ExperimentConfig, desk_profile
 
 from test_pipeline import mini_config
 
@@ -87,6 +91,7 @@ def forbid_work(monkeypatch):
         lambda d: d.update(record_wall_time="false"),
         lambda d: d.update(compute_randomnes=True),
         lambda d: d["environments"]["targets"].append(dict(d["environments"]["targets"][0], seed=99)),
+        lambda d: d.update(n_source=5),
     ],
     ids=[
         "zero_batch_size",
@@ -99,6 +104,7 @@ def forbid_work(monkeypatch):
         "string_bool",
         "unknown_key",
         "duplicate_target_env_id",
+        "grouped_field_at_top_level",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -106,6 +112,87 @@ def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit)
     cfg_path = write_config_dict(tmp_path, edit)
     result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert called == []
+
+
+def config_sites(tp, doc, path=()):
+    """Where a config document can be broken, walking the dataclass ``tp`` beside ``doc``:
+    ("leaf", path, the JSON types it may hold), ("object", path, its keys) and
+    ("required", path, None) for a field without a default."""
+    if dataclasses.is_dataclass(tp):
+        yield "object", path, set(doc)
+        hints = typing.get_type_hints(tp)
+        for f in dataclasses.fields(tp):
+            # the top level nests some fields in groups, e.g. n_source under "sizes"
+            where = JSON_GROUPS.get(f.name, (f.name,)) if tp is ExperimentConfig else (f.name,)
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                yield "required", path + where, None
+            yield from config_sites(hints[f.name], at(doc, where), path + where)
+        if tp is ExperimentConfig:
+            for group in {g for g, _ in JSON_GROUPS.values()}:
+                yield "object", (group,), set(doc[group])
+                yield "required", (group,), None
+    elif typing.get_origin(tp) in (list, tuple):
+        hints = typing.get_args(tp) * len(doc) if typing.get_origin(tp) is list else typing.get_args(tp)
+        for i, (hint, item) in enumerate(zip(hints, doc)):
+            yield from config_sites(hint, item, path + (i,))
+    else:
+        yield "leaf", path, (int, float) if tp is float else (tp,)
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def break_config(doc, change):
+    op, path, value = change
+    doc = json.loads(json.dumps(doc))
+    parent = at(doc, path[:-1])
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+DESK_DOC = desk_profile().to_dict()
+SITES = list(config_sites(ExperimentConfig, DESK_DOC))
+# every key the config uses somewhere, so that a key known at one level is tried at another
+KNOWN_KEYS = sorted(
+    {key for _, path, _ in SITES for key in path if isinstance(key, str)}
+    | {f.name for f in dataclasses.fields(ExperimentConfig)}
+)
+OTHER_JSON_VALUES = (None, True, 7, 0.5, "x", [], {})
+CONFIG_BREAKS = st.one_of(
+    # a leaf of another JSON type (an int where a float goes is valid, so it is not tried)
+    st.sampled_from([(p, ok) for kind, p, ok in SITES if kind == "leaf"]).flatmap(
+        lambda site: st.sampled_from([v for v in OTHER_JSON_VALUES if type(v) not in site[1]]).map(
+            lambda v: ("set", site[0], v)
+        )
+    ),
+    # an unknown key at any object level
+    st.sampled_from([(p, keys) for kind, p, keys in SITES if kind == "object"]).flatmap(
+        lambda site: (st.sampled_from(KNOWN_KEYS) | st.text(min_size=1, max_size=8))
+        .filter(lambda key: key not in site[1])
+        .map(lambda key: ("set", site[0] + (key,), 1))
+    ),
+    # a field without a default dropped
+    st.sampled_from([p for kind, p, _ in SITES if kind == "required"]).map(lambda p: ("drop", p, None)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(change=CONFIG_BREAKS)
+@example(change=("set", ("n_source",), 1))  # a grouped field at the top level was once ignored
+def test_run_rejects_a_config_broken_in_one_place_before_any_work(tmp_path, monkeypatch, change):
+    called = forbid_work(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(break_config(DESK_DOC, change)))
+    result = invoke("run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, (change, result.output)
     assert "config error" in result.output
     assert called == []
 
@@ -149,6 +236,21 @@ def test_sweep_bad_values_exits_2(tmp_path):
         "--out", str(tmp_path / "o"),
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["2.5", "nan", "inf"])
+@pytest.mark.parametrize("axis", ["n_ad", "g_ad", "g_tr", "e_batch"])
+def test_sweep_integer_axis_rejects_non_whole_values_before_any_work(tmp_path, monkeypatch, axis, value):
+    called = forbid_work(monkeypatch)
+    cfg_path = write_mini_config(tmp_path)
+    out = tmp_path / "out"
+    result = invoke(
+        "sweep", "--axis", axis, "--values", f"1,{value}", "--config", str(cfg_path), "--out", str(out)
+    )
+    assert result.exit_code == 2, result.output
+    assert "whole numbers" in result.output
+    assert called == []
+    assert not out.exists()
 
 
 def test_nist_command(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fdkg.features import (
+    EPS_GUARD,
     complex_to_features,
-    features_to_complex,
     fit_normalizer,
     normalize,
 )
@@ -25,9 +25,12 @@ def test_length_64_gives_128_features():
 
 
 def test_features_roundtrip():
+    # the real block comes first, the imaginary block second
     rng = np.random.default_rng(0)
-    h = rng.normal(size=32) + 1j * rng.normal(size=32)
-    assert np.array_equal(features_to_complex(complex_to_features(h)), h)
+    h = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+    x = complex_to_features(h)
+    assert np.array_equal(x[:, :32], h.real) and np.array_equal(x[:, 32:], h.imag)
+    assert np.array_equal(x[:, :32] + 1j * x[:, 32:], h)
 
 
 def test_batch_shapes():
@@ -66,7 +69,7 @@ def test_normalize_bit_equal_to_masked_formula():
     train[:, 2] = 7.25  # a degenerate column
     norm = fit_normalizer(train)
     span = norm.col_max - norm.col_min
-    deg = span < norm.eps_guard
+    deg = span < EPS_GUARD
     safe_span = np.where(deg, 1.0, span)
     x = np.vstack([rng.normal(size=(40, 6)) * 50.0, [[np.nan, np.inf, np.nan, -np.inf, -0.0, 1e300]]])
     for rows in (x, x[0], x[-1]):  # a batch and 1-D inputs

@@ -10,7 +10,6 @@ from fdkg.keygen import (
     QuantizerConfig,
     align_keys,
     inverse_normal_cdf,
-    key_error_rate,
     key_generation_ratio,
     quantize_guardband,
     read_key_dump,
@@ -119,28 +118,26 @@ class TestQuantizer:
 
 
 class TestAlignment:
-    def make(self, mask, bits_for_masked, party):
+    def make(self, mask, bits_for_masked):
         mask = np.asarray(mask, dtype=bool)
-        return KeyMaterial(
-            bits=np.asarray(bits_for_masked, dtype=np.uint8), retained_mask=mask, party=party
-        )
+        return KeyMaterial(bits=np.asarray(bits_for_masked, dtype=np.uint8), retained_mask=mask)
 
     def test_identical_masks_keep_all(self):
-        a = self.make([1, 1, 0, 1], [1, 0, 1], "alice")
-        b = self.make([1, 1, 0, 1], [1, 1, 1], "bob")
+        a = self.make([1, 1, 0, 1], [1, 0, 1])
+        b = self.make([1, 1, 0, 1], [1, 1, 1])
         bits_a, bits_b = align_keys(a, b)
         assert np.array_equal(bits_a, [1, 0, 1])
         assert np.array_equal(bits_b, [1, 1, 1])
 
     def test_disjoint_masks_empty(self):
-        a = self.make([1, 0, 1, 0], [1, 1], "alice")
-        b = self.make([0, 1, 0, 1], [0, 0], "bob")
+        a = self.make([1, 0, 1, 0], [1, 1])
+        b = self.make([0, 1, 0, 1], [0, 0])
         bits_a, bits_b = align_keys(a, b)
         assert bits_a.size == 0 and bits_b.size == 0
 
     def test_partial_overlap(self):
-        a = self.make([1, 1, 0, 1], [1, 0, 1], "alice")
-        b = self.make([1, 0, 1, 1], [0, 1, 1], "bob")
+        a = self.make([1, 1, 0, 1], [1, 0, 1])
+        b = self.make([1, 0, 1, 1], [0, 1, 1])
         bits_a, bits_b = align_keys(a, b)
         assert bits_a.size == 2  # common indices 0 and 3
         assert np.array_equal(bits_a, [1, 1])
@@ -148,28 +145,6 @@ class TestAlignment:
 
 
 class TestKeyMetrics:
-    def test_identical_keys_zero_error(self):
-        bits = np.random.default_rng(0).integers(0, 2, 128)
-        assert key_error_rate(bits, bits.copy()) == 0.0
-
-    def test_complementary_keys(self):
-        bits = np.random.default_rng(1).integers(0, 2, 64)
-        assert key_error_rate(bits, 1 - bits) == 1.0
-
-    def test_arithmetic(self):
-        a = np.zeros(100, dtype=np.uint8)
-        b = a.copy()
-        b[[10, 90]] = 1
-        assert key_error_rate(a, b) == pytest.approx(0.02)
-
-    def test_empty_key_flagged(self):
-        with pytest.warns(UserWarning):
-            assert key_error_rate(np.empty(0, np.uint8), np.empty(0, np.uint8)) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            key_error_rate(np.zeros(4, np.uint8), np.zeros(5, np.uint8))
-
     def test_kgr_values(self):
         assert key_generation_ratio(128, 64) == 2.0
         assert key_generation_ratio(0, 64) == 0.0
@@ -193,11 +168,10 @@ class TestKeyMetrics:
         rng = np.random.default_rng(9)
         x = rng.normal(size=128)
         for eps in (0.0, 0.1, 0.25, 0.45):
-            ka = quantize_guardband(x, QuantizerConfig(eps), "alice")
-            kb = quantize_guardband(x.copy(), QuantizerConfig(eps), "bob")
+            ka = quantize_guardband(x, QuantizerConfig(eps))
+            kb = quantize_guardband(x.copy(), QuantizerConfig(eps))
             bits_a, bits_b = align_keys(ka, kb)
-            if bits_a.size:
-                assert key_error_rate(bits_a, bits_b) == 0.0
+            assert bits_a.size and np.array_equal(bits_a, bits_b)
 
 
 def test_key_dump_roundtrip(tmp_path):

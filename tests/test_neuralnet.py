@@ -3,6 +3,9 @@ import pytest
 
 from fdkg.neuralnet import (
     ADAM_CHUNK,
+    ADAM_EPS,
+    RHO1_DEFAULT,
+    RHO2_DEFAULT,
     Gradients,
     NetworkParams,
     Workspace,
@@ -296,7 +299,7 @@ def test_chunked_adam_bitwise_equal_to_whole_vector_formula():
     state = init_adam_state(net)
     assert [s.size for s in state.scratch] == [ADAM_CHUNK, ADAM_CHUNK]
     theta, m, v = net.flat.copy(), np.zeros(n), np.zeros(n)
-    lr, r1, r2, eps = 1e-3, state.rho1, state.rho2, state.epsilon_stab
+    lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in (1, 2, 3):
         g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
         adam_step(net, Gradients.from_flat(dims, g), state, lr)

@@ -606,3 +606,33 @@ class TestScoreKeys:
             for e in (0.0, 0.05, 0.1, 0.2, 0.4)
         ]
         assert all(a >= b for a, b in zip(kgrs, kgrs[1:]))
+
+    def test_pooled_ker_by_hand(self):
+        # epsilon 0.1: the guard band is mu +- 0.253 sigma.  Sample 0 keeps all
+        # four positions and agrees; sample 1 drops its two 1.5s (= mu) and both
+        # kept bits disagree.  Pooled KER is 2/6, not the per-sample mean 1/2.
+        act = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.5, 1.5, 3.0]])
+        pred = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 1.5, 1.5, 0.0]])
+        metrics = score_keys(pred, act, epsilon=0.1, n_subcarriers=2)
+        assert metrics.ker == 2 / 6
+        assert metrics.kgr == (4 / 2 + 2 / 2) / 2
+        assert [k.tolist() for k in metrics.alice_keys] == [[0, 0, 1, 1], [1, 0]]
+        assert [k.tolist() for k in metrics.bob_keys] == [[0, 0, 1, 1], [0, 1]]
+
+    def test_complementary_features_full_error(self):
+        x = np.random.default_rng(1).normal(size=(5, 64))
+        metrics = score_keys(-x, x, epsilon=0.1, n_subcarriers=32)
+        assert metrics.ker == 1.0
+        assert len(metrics.alice_keys) == 5
+
+    def test_nothing_aligned_ker_is_one(self):
+        act = np.array([[0.0, 3.0, 1.5, 1.5]])
+        pred = np.array([[1.5, 1.5, 0.0, 3.0]])  # keeps exactly the positions act drops
+        metrics = score_keys(pred, act, epsilon=0.1, n_subcarriers=2)
+        assert metrics.ker == 1.0 and metrics.kgr == 0.0
+        assert metrics.alice_keys == [] and metrics.bob_keys == []
+
+    def test_feature_length_mismatch(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError):
+            score_keys(rng.normal(size=(2, 8)), rng.normal(size=(2, 10)), epsilon=0.1, n_subcarriers=4)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fdkg.randomness import (
-    BitStream,
     approximate_entropy_test,
     as_bits,
     block_frequency_test,
@@ -54,10 +53,16 @@ class TestHelpers:
 
     def test_bitstream_validation(self):
         with pytest.raises(ValueError):
-            BitStream(np.array([0, 1, 2]))
+            as_bits(np.array([0, 1, 2]))
         with pytest.raises(ValueError):
-            BitStream(np.array([], dtype=int))
+            as_bits(np.array([], dtype=int))
+        with pytest.raises(ValueError):
+            as_bits("01x1")
+        with pytest.raises(ValueError):
+            as_bits("")
         assert as_bits("0101").tolist() == [0, 1, 0, 1]
+        bits = as_bits([True, False, 1])
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 1]
 
 
 class TestFrequency:
