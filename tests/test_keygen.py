@@ -15,6 +15,7 @@ from fdkg.keygen import (
     read_key_dump,
     write_key_dump,
 )
+from fdkg.pipeline import score_keys
 
 
 def bisect_quantile(p: float, lo: float = -10.0, hi: float = 10.0) -> float:
@@ -145,6 +146,16 @@ class TestAlignment:
 
 
 class TestKeyMetrics:
+    def test_identical_keys_zero_error(self):
+        # +-1 features quantize at their mean straight back to the bits, so both
+        # parties hold the same 128-bit key and the KER is exactly 0
+        bits = np.random.default_rng(0).integers(0, 2, 128)
+        features = (2.0 * bits - 1.0)[None, :]
+        metrics = score_keys(features, features.copy(), epsilon=0.0, n_subcarriers=64)
+        assert metrics.ker == 0.0
+        assert np.array_equal(metrics.alice_keys[0], bits)
+        assert np.array_equal(metrics.bob_keys[0], bits)
+
     def test_kgr_values(self):
         assert key_generation_ratio(128, 64) == 2.0
         assert key_generation_ratio(0, 64) == 0.0
