@@ -32,16 +32,7 @@ from .features import (
     fit_normalizer,
     normalize,
 )
-from .keygen import (
-    KeyMaterial,
-    QuantizerConfig,
-    align_keys,
-    inverse_normal_cdf,
-    key_generation_ratio,
-    quantize_guardband,
-    read_key_dump,
-    write_key_dump,
-)
+from .keygen import check_epsilon, quantize_guardband, read_key_dump, write_key_dump
 from .model_io import load_model, save_model
 from .neuralnet import (
     AdamState,

@@ -51,6 +51,8 @@ def load_model(path: str | Path) -> tuple[NetworkParams, Normalizer]:
         raise FormatError(f"{path}: truncated dims block")
     dims = struct.unpack_from(f"<{n_dims}I", raw, off)
     off += 4 * n_dims
+    if 0 in dims:
+        raise FormatError(f"{path}: zero layer dim in {list(dims)}")
 
     n_params = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
     expected = off + 8 * (n_params + 2 * dims[0])

@@ -43,12 +43,7 @@ from .channel_sim import (
 from .codec import decode, encode
 from .errors import ConfigError
 from .features import Normalizer, complex_to_features, fit_normalizer, normalize
-from .keygen import (
-    QuantizerConfig,
-    align_keys,
-    key_generation_ratio,
-    quantize_guardband,
-)
+from .keygen import check_epsilon, quantize_guardband
 from .neuralnet import NetworkParams, TrainConfig, forward, init_network
 from .randomness import run_battery
 from .strategies import (
@@ -133,7 +128,7 @@ class ExperimentConfig:
                 raise ConfigError(f"SNRs must be finite or +inf (noiseless), got {snr}")
         if not 0.0 < self.scale_factor <= 1.0:
             raise ConfigError(f"scale_factor must lie in (0, 1], got {self.scale_factor}")
-        QuantizerConfig(self.quantizer_epsilon)  # validates epsilon
+        check_epsilon(self.quantizer_epsilon)
         if self.n_source < 1 or self.n_target < 1:
             raise ConfigError("n_source and n_target must be >= 1")
         if self.n_adapt < 1 or self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
@@ -401,26 +396,27 @@ def score_keys(
 
     KER is total disagreeing bits over total aligned bits (1.0 when nothing
     aligns anywhere); KGR is the mean per-sample aligned bits per subcarrier.
+    The keys are each sample's aligned bits, in sample order, omitting
+    samples that align nothing.
     """
-    qcfg = QuantizerConfig(epsilon)
-    errors = 0
-    total = 0
-    kgr_sum = 0.0
-    alice_keys: list[np.ndarray] = []
-    bob_keys: list[np.ndarray] = []
-    for i in range(predicted.shape[0]):
-        ka = quantize_guardband(predicted[i], qcfg)
-        kb = quantize_guardband(actual[i], qcfg)
-        bits_a, bits_b = align_keys(ka, kb)
-        errors += int(np.count_nonzero(bits_a != bits_b))
-        total += bits_a.size
-        kgr_sum += key_generation_ratio(bits_a.size, n_subcarriers)
-        if bits_a.size:
-            alice_keys.append(bits_a)
-            bob_keys.append(bits_b)
-    ker = errors / total if total else 1.0
+    if predicted.shape != actual.shape:
+        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
+    if n_subcarriers <= 0:
+        raise ValueError(f"n_subcarriers must be positive, got {n_subcarriers}")
+    ones_a, kept_a = quantize_guardband(predicted, epsilon)
+    ones_b, kept_b = quantize_guardband(actual, epsilon)
+    common = kept_a & kept_b
+    bits_a = ones_a[common].astype(np.uint8)
+    bits_b = ones_b[common].astype(np.uint8)
+    lengths = np.count_nonzero(common, axis=1)
+    errors = int(np.count_nonzero(bits_a != bits_b))
+    ker = errors / bits_a.size if bits_a.size else 1.0
+    cuts = np.cumsum(lengths)[:-1]
     return KeyMetrics(
-        ker=ker, kgr=kgr_sum / predicted.shape[0], alice_keys=alice_keys, bob_keys=bob_keys
+        ker=ker,
+        kgr=float(np.mean(lengths / n_subcarriers)),
+        alice_keys=[key for key in np.split(bits_a, cuts) if key.size],
+        bob_keys=[key for key in np.split(bits_b, cuts) if key.size],
     )
 
 

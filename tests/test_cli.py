@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 import typing
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from fdkg.cli import main
 from fdkg.features import fit_normalizer
 from fdkg.keygen import write_key_dump
-from fdkg.model_io import save_model
+from fdkg.model_io import MODEL_MAGIC, save_model
 from fdkg.neuralnet import init_network
 from fdkg.pipeline import JSON_GROUPS, ExperimentConfig, desk_profile
 
@@ -274,6 +275,19 @@ def test_nist_empty_dump_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"0101\n01x1\n", "non-binary"), (b"0101\n01\xff1\n", "not ASCII")],
+    ids=["non-binary", "non-ascii"],
+)
+def test_nist_malformed_dump_exits_2(tmp_path, content, reason):
+    dump = tmp_path / "bad.txt"
+    dump.write_bytes(content)
+    result = invoke("nist", "--keys", str(dump), "--out", str(tmp_path / "o.csv"))
+    assert result.exit_code == 2, result.output
+    assert "format error:" in result.output and reason in result.output
+
+
 def test_model_inspect(tmp_path):
     net = init_network([8, 16, 8], seed=1)
     norm = fit_normalizer(np.random.default_rng(2).normal(size=(10, 8)))
@@ -290,3 +304,13 @@ def test_model_inspect_bad_file_exits_2(tmp_path):
     path.write_bytes(b"garbage bytes here")
     result = invoke("model", "inspect", str(path))
     assert result.exit_code == 2
+
+
+def test_model_inspect_zero_dim_exits_2(tmp_path):
+    # a well-sized file whose header declares dims (4, 0, 4): 4 biases plus two
+    # 4-wide normalizer columns, 12 float64s in all
+    path = tmp_path / "zero.fdkg"
+    path.write_bytes(MODEL_MAGIC + struct.pack("<II3I", 1, 3, 4, 0, 4) + bytes(8 * 12))
+    result = invoke("model", "inspect", str(path))
+    assert result.exit_code == 2, result.output
+    assert "format error:" in result.output and "zero layer dim" in result.output
