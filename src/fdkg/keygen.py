@@ -62,11 +62,13 @@ def quantize_guardband(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nd
 
 
 def write_key_dump(keys: list[np.ndarray], path) -> None:
-    """One ASCII 0/1 line per sample, in index order over aligned positions."""
-    with open(path, "w") as fh:
-        for bits in keys:
-            fh.write("".join("1" if b else "0" for b in np.asarray(bits)))
-            fh.write("\n")
+    """One ASCII 0/1 line per sample, in index order over aligned positions (nonzero bits write 1)."""
+    lengths = np.array([np.size(k) for k in keys], dtype=np.intp)
+    text = np.full(lengths.sum() + len(keys), ord("\n"), dtype=np.uint8)
+    bits = np.concatenate([np.zeros(0, bool), *map(np.ravel, keys)]) != 0
+    # bit j of the concatenation lands after the newlines of the lines before its own
+    text[np.arange(bits.size) + np.repeat(np.arange(len(keys)), lengths)] = ord("0") + bits
+    text.tofile(path)
 
 
 def read_key_dump(path) -> list[np.ndarray]:

@@ -336,8 +336,9 @@ def adam_step(
     return net, state
 
 
-def sgd_step(net: NetworkParams, grads: Gradients, lr: float) -> NetworkParams:
-    """Plain gradient descent: theta <- theta - lr * g, as new parameters."""
-    theta = lr * grads.flat
-    np.subtract(net.flat, theta, out=theta)
+def sgd_step(net: NetworkParams, grads: Gradients, lr: float, out: np.ndarray | None = None) -> NetworkParams:
+    """Plain gradient descent: theta <- theta - lr * g, as new parameters, written
+    into ``out`` when given (it may be ``net.flat``; ``grads`` then becomes lr * g)."""
+    theta = lr * grads.flat if out is None else np.multiply(grads.flat, lr, out=grads.flat)
+    theta = np.subtract(net.flat, theta, out=theta if out is None else out)
     return NetworkParams.from_flat(net.layer_dims, theta, net.output_activation)

@@ -50,6 +50,7 @@ from .strategies import (
     MetaConfig,
     PairSet,
     adapt,
+    adapt_state,
     meta_train,
     partition_source_into_tasks,
     train_supervised,
@@ -488,6 +489,7 @@ def _model_chains(
     source_pairs: PairSet,
     targets: list[_TargetData],
     clock,
+    pool: "_Pool",
 ) -> list[Callable[[], dict[tuple[str, int], tuple[NetworkParams, float]]]]:
     """The run's independent model-training chains, in queue order:
     meta-training with the ``meta`` adaptations, one ``joint`` training per
@@ -496,7 +498,8 @@ def _model_chains(
     with pretraining first, and its peak RSS was 5 MB lower.)  Each chain
     returns ``{(algorithm, env_id): (network, preparation time)}``; within a
     chain the order and the seeds are fixed, so the networks do not depend on
-    which chains run at the same time.
+    which chains run at the same time.  Chains post sub-jobs to ``pool``: ``meta_train`` one
+    per chosen task of an iteration, the meta and pretrain chains one adaptation per target.
 
     The chains call ``train_supervised``, ``meta_train`` and ``adapt`` by
     their module-global names, so wrappers set on this module see every call.
@@ -504,19 +507,28 @@ def _model_chains(
     algorithms = cfg.algorithms
     adapt_seeds = [cfg.seed + 307 + env_idx for env_idx in range(len(targets))]
 
+    def adapt_each(kind: str, net: NetworkParams, elapsed: float):
+        def job(target: _TargetData, seed: int, box: list):
+            t0 = clock()
+            state = box.pop()  # this job's adapt_state, or None to allocate it where the job runs
+            adapted = adapt(state[0] if state else net, target.adapt_pairs, cfg.meta, seed=seed, state=state)
+            return adapted, elapsed + (clock() - t0)
+
+        # With threads to spare, allocate here what they may run (a helper's malloc arena would
+        # keep it), and drop ``net``, which the states copied, while they train.
+        boxes = [[adapt_state(net, t.adapt_pairs, cfg.meta) if pool.spare else None] for t in targets]
+        net = None if pool.spare else net
+        jobs = [functools.partial(job, *args) for args in zip(targets, adapt_seeds, boxes)]
+        return {(kind, t.spec.env_id): r for t, r in zip(targets, pool.imap(jobs, len(jobs)))}
+
     def pretrain_chain():
         t0 = clock()
         pretrained = train_supervised(init, source_pairs, cfg.train)
-        pretrain_elapsed = clock() - t0
-        prepared = {}
-        for target, seed in zip(targets, adapt_seeds):
-            env_id = target.spec.env_id
-            if "direct" in algorithms:
-                prepared["direct", env_id] = (pretrained, pretrain_elapsed)
-            if "dtl" in algorithms:
-                t0 = clock()
-                net = adapt(pretrained, target.adapt_pairs, cfg.meta, seed=seed)
-                prepared["dtl", env_id] = (net, pretrain_elapsed + (clock() - t0))
+        elapsed = clock() - t0
+        direct = targets if "direct" in algorithms else []
+        prepared = {("direct", t.spec.env_id): (pretrained, elapsed) for t in direct}
+        if "dtl" in algorithms:
+            prepared.update(adapt_each("dtl", pretrained, elapsed))
         return prepared
 
     def joint_chain(target: _TargetData):
@@ -526,23 +538,14 @@ def _model_chains(
         return {("joint", target.spec.env_id): (net, clock() - t0)}
 
     def meta_chain():
+        split = cfg.meta_tasks
         tasks = partition_source_into_tasks(
-            source_pairs,
-            cfg.meta_tasks.n_tasks,
-            cfg.meta_tasks.samples_per_task,
-            cfg.meta_tasks.support_fraction,
-            seed=cfg.seed + 101,
+            source_pairs, split.n_tasks, split.samples_per_task, split.support_fraction, seed=cfg.seed + 101
         )
         t0 = clock()
-        meta_init = meta_train(init, tasks, cfg.meta, seed=cfg.seed + 211)
-        meta_elapsed = clock() - t0
-        del tasks  # the tasks copy the source rows they hold
-        prepared = {}
-        for target, seed in zip(targets, adapt_seeds):
-            t0 = clock()
-            net = adapt(meta_init, target.adapt_pairs, cfg.meta, seed=seed)
-            prepared["meta", target.spec.env_id] = (net, meta_elapsed + (clock() - t0))
-        return prepared
+        return adapt_each(  # passing meta_train's result on, so that only adapt_each holds it
+            "meta", meta_train(init, tasks, cfg.meta, seed=cfg.seed + 211, pool=pool), clock() - t0
+        )
 
     chains = []
     if "meta" in algorithms:
@@ -555,55 +558,120 @@ def _model_chains(
 
 
 def _chain_width(n_chains: int) -> int:
-    """Threads that run the model chains: one per usable core, at most one per
-    chain, and 1 (serial) unless every BLAS call runs on one thread."""
+    """Threads in a run's pool: one per usable core, however few the chains (idle threads
+    run sub-jobs), and 1 (serial) unless every BLAS call runs on one thread."""
     if not _BLAS_PINNED:
         return 1
     try:
-        cores = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, n_chains))
+        return os.cpu_count() or 1
 
 
-def _run_chains(chains: list[Callable], width: int) -> list:
-    """Run ``chains`` on this thread and ``width - 1`` helper threads, which
-    take them in order from one shared queue; return their results in chain
-    order.  Once a chain raises, no further chain starts, and its error is
-    raised here after the chains already running have ended.  An interrupt
-    (Ctrl-C) also starts no further chain but is raised at once: the helpers
-    are daemon threads, so the process need not wait for their chains."""
-    results: list = [None] * len(chains)
-    queue = iter(enumerate(chains))
-    lock = threading.Lock()
-    errors: list[BaseException] = []
+_PENDING = object()
 
-    def work() -> None:
-        while True:
-            with lock:
-                item = None if errors else next(queue, None)
-            if item is None:
-                return
-            idx, chain = item
-            try:
-                results[idx] = chain()
-            except Exception as exc:
-                with lock:
-                    errors.append(exc)
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(width - 1)]
+class _Batch:
+    """Jobs one thread posted with :meth:`_Pool.imap`; they start in order, job i once i < ``limit``."""
+
+    def __init__(self, jobs: list[Callable]) -> None:
+        self.jobs, self.poster = jobs, threading.get_ident()
+        self.results, self.cpu = [_PENDING] * len(jobs), 0.0  # cpu: of the jobs other threads ran
+        self.started = self.ended = self.limit = 0
+        self.error: Exception | None = None
+
+    def startable(self) -> bool:
+        return self.error is None and self.started < min(self.limit, len(self.jobs))
+
+
+class _Pool:
+    """The threads of one run: each takes waiting model chains first, then the
+    sub-jobs that running chains post with :meth:`imap`."""
+
+    def __init__(self) -> None:
+        self.width, self.spare, self.open = 1, False, False  # spare: more threads than chains
+        self.cond = threading.Condition()
+        self._batches: list[_Batch] = []  # in posting order, so the chains come first
+        self._credit = threading.local()
+
+    def clock(self) -> float:
+        """This thread's CPU time plus that of its :meth:`imap` jobs that other threads ran."""
+        return time.thread_time() + getattr(self._credit, "cpu_s", 0.0)
+
+    def _run_next(self, batch: _Batch) -> None:
+        """Run the next job of ``batch``; called holding the lock, released meanwhile."""
+        i, t0 = batch.started, time.thread_time()
+        batch.started += 1
+        self.cond.release()
+        try:
+            result, error = batch.jobs[i](), None
+        except Exception as exc:
+            result, error = _PENDING, exc
+        finally:
+            self.cond.acquire()
+        if batch.poster != threading.get_ident():
+            batch.cpu += time.thread_time() - t0
+        batch.results[i], batch.error = result, batch.error or error
+        batch.ended += 1
+        self.cond.notify_all()
+
+    def serve(self) -> None:
+        """A helper thread's loop: run the first startable job until the pool closes."""
+        with self.cond:
+            while self.open:
+                batch = next((b for b in self._batches if b.startable()), None)
+                if batch is None:
+                    self.cond.wait()
+                else:
+                    self._run_next(batch)
+
+    def imap(self, jobs: list[Callable], window: int, chains: bool = False):
+        """Yield the results of ``jobs`` in order.  Idle threads take the jobs in order; this thread
+        runs those none took (with ``chains``, any thread's jobs while it waits).  Job i starts once
+        result i - window is taken.  Once a job raises, no further job starts, and its error is
+        raised here after the running jobs have ended."""
+        batch, cond = _Batch(jobs), self.cond
+        scope = self._batches if chains else [batch]  # the batches this thread runs jobs of
+        with cond:
+            self._batches.append(batch)
+        try:
+            for k in range(len(jobs)):
+                with cond:
+                    batch.limit = k + window
+                    cond.notify_all()
+                    while batch.results[k] is _PENDING:
+                        ready = next((b for b in scope if b.startable()), None)
+                        if ready is not None:
+                            self._run_next(ready)
+                        elif batch.error is not None and batch.ended == batch.started:
+                            raise batch.error
+                        else:
+                            cond.wait()
+                yield batch.results[k]
+            self._credit.cpu_s = getattr(self._credit, "cpu_s", 0.0) + batch.cpu
+        finally:
+            with cond:
+                self._batches.remove(batch)
+
+
+def _run_chains(chains: list[Callable], width: int, pool: _Pool | None = None) -> list:
+    """Run ``chains`` as :meth:`_Pool.imap` jobs of ``pool`` (a new one by default) on this thread
+    and ``width - 1`` helpers, and return their results.  This thread takes the first chain, so it
+    reuses the memory data synthesis freed here.  Ctrl-C starts no further chain and is raised at
+    once: the helpers are daemon threads, so the process need not wait for them."""
+    pool = pool or _Pool()
+    pool.width, pool.spare, pool.open = width, width > len(chains), True
+    helpers = [threading.Thread(target=pool.serve, daemon=True) for _ in range(width - 1)]
     for helper in helpers:
         helper.start()
     try:
-        work()  # this thread works too, so it reuses the memory that data synthesis freed here
-        for helper in helpers:
-            helper.join()
-    except BaseException as exc:
-        with lock:
-            errors.append(exc)
-        raise
-    if errors:
-        raise errors[0]
+        results = list(pool.imap(chains, len(chains), chains=True))
+    finally:
+        with pool.cond:
+            pool.open = False
+            pool.cond.notify_all()
+    for helper in helpers:  # idle now: every chain and sub-job has ended
+        helper.join()
     return results
 
 
@@ -617,23 +685,24 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentR
     without it the data is synthesized here.
     """
     cfg = apply_scale(cfg)
+    pool = _Pool()
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
     if cfg.record_wall_time and _BLAS_PINNED:
-        # with one BLAS thread a stage computes only on its own thread, so that
-        # thread's CPU time is the stage's time alone, whatever runs beside it
-        clock = time.thread_time
+        # with one BLAS thread a job computes only on the thread that runs it, so
+        # the CPU time of a stage's jobs is the stage's time alone, whatever runs beside it
+        clock = pool.clock
 
     source_pairs, targets = _prepare_data(cfg) if data is None else data
     dim = 2 * cfg.ofdm.n_subcarriers
     dims = [dim, *cfg.hidden_dims, dim]
     init = init_network(dims, seed=cfg.seed)
 
-    chains = _model_chains(cfg, init, source_pairs, targets, clock)
+    chains = _model_chains(cfg, init, source_pairs, targets, clock, pool)
     # (algorithm, env_id) -> (network, preparation time); identity predicts its input
     models: dict[tuple[str, int], tuple[NetworkParams | None, float]] = {
         ("identity", t.spec.env_id): (None, 0.0) for t in targets if "identity" in cfg.algorithms
     }
-    for prepared in _run_chains(chains, _chain_width(len(chains))):
+    for prepared in _run_chains(chains, _chain_width(len(chains)), pool):
         models.update(prepared)
 
     def evaluate(alg: str, target: _TargetData, snr: float) -> tuple[ReportRow, list[RandomnessRow]]:

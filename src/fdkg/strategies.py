@@ -19,6 +19,7 @@ fixed seeds: batch orders come from seeded shuffles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,6 @@ class PairSet:
     def n(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, idx) -> "PairSet":
-        return PairSet(inputs=self.inputs[idx], targets=self.targets[idx])
-
     @staticmethod
     def concat(parts: list["PairSet"]) -> "PairSet":
         return PairSet(
@@ -69,18 +67,29 @@ class PairSet:
 
 @dataclass(frozen=True)
 class MetaTask:
-    support: PairSet
-    query: PairSet
+    """Row indices of one task's support and query sets into its task set's ``source``."""
+
+    support: np.ndarray
+    query: np.ndarray
 
 
 @dataclass(frozen=True)
 class MetaTaskSet:
+    source: PairSet
     tasks: list[MetaTask]
-    samples_per_task: int
 
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
+
+class _TaskSlot:
+    """Buffers of one concurrent meta-training task: rows, workspace, adapted parameters."""
+
+    def __init__(self, net: NetworkParams, rows: int) -> None:
+        self.inputs, self.targets = np.empty((rows, net.layer_dims[0])), np.empty((rows, net.layer_dims[-1]))
+        self.work, self.params = Workspace(net, rows), np.empty(net.n_parameters)
+
+    def gather(self, source: PairSet, idx: np.ndarray) -> PairSet:
+        n = len(idx)
+        inputs = np.take(source.inputs, idx, axis=0, out=self.inputs[:n])
+        return PairSet(inputs, np.take(source.targets, idx, axis=0, out=self.targets[:n]))
 
 
 @dataclass(frozen=True)
@@ -126,6 +135,16 @@ def _minibatches(n: int, batch_size: int, n_steps: int, rng: np.random.Generator
             produced += 1
 
 
+def _adam_losses(net: NetworkParams, data: PairSet, n_steps: int, lr: float, seed: int, state, work):
+    """Take up to n_steps ADAM steps on ``net`` in place over ``work.max_rows``-row minibatches."""
+    if data.n == 0:
+        raise ValueError("training data must be non-empty")
+    for idx in _minibatches(data.n, work.max_rows, n_steps, np.random.default_rng(seed)):
+        loss, grads = backward(net, data.inputs[idx], data.targets[idx], work)
+        adam_step(net, grads, state, lr)
+        yield loss
+
+
 def train_supervised(
     init: NetworkParams,
     data: PairSet,
@@ -137,19 +156,11 @@ def train_supervised(
     The plateau check compares smoothed minibatch losses (one evaluation per
     ``cfg.eval_interval`` steps) across a 20-evaluation window.
     """
-    if data.n == 0:
-        raise ValueError("training data must be non-empty")
     net = init.copy()  # adam_step updates it in place
-    if cfg.max_iterations == 0:
-        return net
-    state = init_adam_state(net)
-    work = Workspace(net, min(cfg.batch_size, data.n))
-    rng = np.random.default_rng(cfg.seed)
+    state, work = init_adam_state(net), Workspace(net, min(cfg.batch_size, data.n))
     evals: list[float] = []
     recent: list[float] = []
-    for idx in _minibatches(data.n, cfg.batch_size, cfg.max_iterations, rng):
-        loss, grads = backward(net, data.inputs[idx], data.targets[idx], work)
-        adam_step(net, grads, state, cfg.learning_rate)
+    for loss in _adam_losses(net, data, cfg.max_iterations, cfg.learning_rate, cfg.seed, state, work):
         recent.append(loss)
         if loss_history is not None:
             loss_history.append(loss)
@@ -161,26 +172,24 @@ def train_supervised(
     return net
 
 
+def adapt_state(pretrained: NetworkParams, adapt_set: PairSet, cfg: MetaConfig) -> tuple:
+    """The copy of ``pretrained`` that :func:`adapt` trains, with its ADAM state and workspace."""
+    net = pretrained.copy()  # adam_step updates it in place
+    return net, init_adam_state(net), Workspace(net, min(cfg.adapt_batch_size, adapt_set.n))
+
+
 def adapt(
     pretrained: NetworkParams,
     adapt_set: PairSet,
     cfg: MetaConfig,
     seed: int = 0,
     loss_history: list[float] | None = None,
+    state: tuple | None = None,
 ) -> NetworkParams:
-    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates."""
-    if adapt_set.n == 0:
-        raise ValueError("adaptation data must be non-empty")
-    net = pretrained.copy()  # adam_step updates it in place
-    if cfg.adapt_steps == 0:
-        return net
-    state = init_adam_state(net)
-    rng = np.random.default_rng(seed)
-    batch = min(cfg.adapt_batch_size, adapt_set.n)
-    work = Workspace(net, batch)
-    for idx in _minibatches(adapt_set.n, batch, cfg.adapt_steps, rng):
-        loss, grads = backward(net, adapt_set.inputs[idx], adapt_set.targets[idx], work)
-        adam_step(net, grads, state, cfg.outer_lr)
+    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates,
+    in ``state`` (by default the :func:`adapt_state` allocated here)."""
+    net, *buffers = state or adapt_state(pretrained, adapt_set, cfg)
+    for loss in _adam_losses(net, adapt_set, cfg.adapt_steps, cfg.outer_lr, seed, *buffers):
         if loss_history is not None:
             loss_history.append(loss)
     return net
@@ -192,16 +201,17 @@ def inner_update(
     alpha: float,
     g_tr: int,
     work: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> NetworkParams:
     """Per-task update: g_tr full-batch gradient-descent steps on the support loss
     (returns ``global_params`` itself when g_tr is 0); ``work`` is passed to
-    :func:`backward`."""
+    :func:`backward` and ``out`` to :func:`sgd_step`, which writes every step there."""
     if support_set.n == 0:
         raise ValueError("support set must be non-empty")
     net = global_params
     for _ in range(g_tr):
         _, grads = backward(net, support_set.inputs, support_set.targets, work)
-        net = sgd_step(net, grads, alpha)
+        net = sgd_step(net, grads, alpha, out=out)
     return net
 
 
@@ -211,6 +221,7 @@ def meta_train(
     cfg: MetaConfig,
     seed: int = 0,
     loss_history: list[float] | None = None,
+    pool=None,
 ) -> NetworkParams:
     """First-order meta-training of a shared initialization.
 
@@ -221,25 +232,37 @@ def meta_train(
     averaging makes one meta-iteration with zero inner rate coincide exactly
     with a plain ADAM step on the pooled query data.  Stops at the iteration
     cap or when the summed query loss plateaus.
+
+    Each task's inner update and query gradient is a job of ``pool`` (the run's chain pool;
+    serial without one) in buffer slot i mod ``pool.width``, allocated here: ``pool.imap(jobs,
+    window)`` yields results in order and starts job i once result i - window is taken.
+    Losses and gradients are summed here in task order: the same bits at any width.
     """
-    if tasks.n_tasks < cfg.task_batch:
+    if len(tasks.tasks) < cfg.task_batch:
         raise ConfigError(
-            f"task_batch {cfg.task_batch} exceeds available tasks {tasks.n_tasks}"
+            f"task_batch {cfg.task_batch} exceeds available tasks {len(tasks.tasks)}"
         )
     net = init.copy()  # adam_step updates it in place
     state = init_adam_state(net)
-    work = Workspace(net, max(max(t.support.n, t.query.n) for t in tasks.tasks))
+    rows = max(max(len(t.support), len(t.query)) for t in tasks.tasks)
+    slots = [_TaskSlot(net, rows) for _ in range(pool.width if pool else 1)]
+    imap = pool.imap if pool else lambda jobs, window: (job() for job in jobs)
     meta_grads = Gradients.zeros_like(net)
     rng = np.random.default_rng(seed)
     totals: list[float] = []
+
+    def job(slot: _TaskSlot, task: MetaTask) -> tuple[float, Gradients]:
+        support = slot.gather(tasks.source, task.support)
+        adapted = inner_update(net, support, cfg.inner_lr, cfg.inner_steps, slot.work, slot.params)
+        query = slot.gather(tasks.source, task.query)
+        return backward(adapted, query.inputs, query.targets, slot.work)
+
     for _ in range(cfg.max_meta_iterations):
-        chosen = rng.choice(tasks.n_tasks, size=cfg.task_batch, replace=False)
+        chosen = rng.choice(len(tasks.tasks), size=cfg.task_batch, replace=False)
         meta_grads.flat.fill(0.0)
         total_loss = 0.0
-        for t in chosen:
-            task = tasks.tasks[int(t)]
-            adapted = inner_update(net, task.support, cfg.inner_lr, cfg.inner_steps, work)
-            loss, grads = backward(adapted, task.query.inputs, task.query.targets, work)
+        jobs = [functools.partial(job, slots[i % len(slots)], tasks.tasks[t]) for i, t in enumerate(chosen)]
+        for loss, grads in imap(jobs, len(slots)):
             total_loss += loss
             meta_grads.add_(grads)
         meta_grads.flat *= 1.0 / cfg.task_batch
@@ -265,7 +288,7 @@ def partition_source_into_tasks(
     seeded permutation, so every part of a pooled multi-environment source
     set can reach a task; within each task the first ``support_fraction`` of
     samples form the support set and the rest the query set, so support and
-    query never overlap.
+    query never overlap.  The tasks hold row indices into ``source``.
     """
     needed = n_tasks * samples_per_task
     if needed > source.n:
@@ -276,14 +299,5 @@ def partition_source_into_tasks(
     if n_support == 0 or n_support == samples_per_task:
         raise ConfigError("support_fraction leaves an empty support or query set")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(source.n)[:needed]
-    tasks = []
-    for t in range(n_tasks):
-        chunk = order[t * samples_per_task : (t + 1) * samples_per_task]
-        tasks.append(
-            MetaTask(
-                support=source.subset(chunk[:n_support]),
-                query=source.subset(chunk[n_support:]),
-            )
-        )
-    return MetaTaskSet(tasks=tasks, samples_per_task=samples_per_task)
+    chunks = rng.permutation(source.n)[:needed].reshape(n_tasks, samples_per_task)
+    return MetaTaskSet(source, [MetaTask(c[:n_support], c[n_support:]) for c in chunks])

@@ -167,17 +167,17 @@ def test_criterion_3_maml_mechanics():
     # zero inner rate: the meta-update is exactly a pooled-query ADAM step
     init = init_network([16, 32, 16], seed=3)
     rng = np.random.default_rng(4)
-    tasks = []
+    xs, ys = [], []
     for t in range(4):
-        x = rng.uniform(0.0, 1.0, (100, 16))
-        y = rng.uniform(0.05, 0.95, (100, 16))
-        data = PairSet(inputs=x, targets=y)
-        tasks.append(MetaTask(support=data.subset(slice(0, 50)), query=data.subset(slice(50, None))))
-    task_set = MetaTaskSet(tasks=tasks, samples_per_task=100)
+        xs.append(rng.uniform(0.0, 1.0, (100, 16)))
+        ys.append(rng.uniform(0.05, 0.95, (100, 16)))
+    source = PairSet(inputs=np.concatenate(xs), targets=np.concatenate(ys))
+    tasks = [MetaTask(support=np.arange(100 * t, 100 * t + 50), query=np.arange(100 * t + 50, 100 * (t + 1))) for t in range(4)]
+    task_set = MetaTaskSet(source=source, tasks=tasks)
     cfg = MetaConfig(inner_lr=0.0, inner_steps=1, task_batch=4, max_meta_iterations=1)
     meta_net = meta_train(init, task_set, cfg, seed=5)
-    pooled = PairSet.concat([t.query for t in tasks])
-    _, grads = backward(init, pooled.inputs, pooled.targets)
+    pooled = np.concatenate([t.query for t in tasks])
+    _, grads = backward(init, source.inputs[pooled], source.targets[pooled])
     ref, _ = adam_step(init, grads, init_adam_state(init), cfg.outer_lr)
     worst = max(
         float(np.max(np.abs(a - b)))

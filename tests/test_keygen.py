@@ -209,6 +209,27 @@ def test_key_dump_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(keys, back))
 
 
+def per_bit_key_dump(keys, path) -> None:
+    """The one-bit-at-a-time writer that defined the dump format."""
+    with open(path, "w") as fh:
+        for bits in keys:
+            fh.write("".join("1" if b else "0" for b in np.asarray(bits)))
+            fh.write("\n")
+
+
+def test_key_dump_bytes_equal_the_per_bit_format(tmp_path):
+    rng = np.random.default_rng(12)
+    cases = [[], [np.zeros(0, np.uint8)], [np.ones(1, np.uint8)], [np.array([True]), np.array([False])]]
+    cases.append([np.zeros(0, bool), np.array([3, 0, -1]), np.array([0.0, 0.5])])  # nonzero writes 1
+    for dtype in (np.uint8, bool, np.int64):
+        cases.append([rng.integers(0, 2, rng.integers(1, 128)).astype(dtype) for _ in range(200)])
+    cases.append([rng.integers(0, 2, 1).astype(np.uint8) for _ in range(100)])  # 1-bit keys
+    for keys in cases:
+        write_key_dump(keys, tmp_path / "new.txt")
+        per_bit_key_dump(keys, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
 def test_key_dump_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0101\n01x1\n")

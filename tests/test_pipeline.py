@@ -373,6 +373,162 @@ class TestModelChains:
         assert results == list(range(300)) and runs == [1] * 300
 
 
+def meet_first_calls(monkeypatch, module, name: str, parties: int = 2) -> list[int]:
+    """Wrap ``module.name`` so that its first ``parties`` calls wait for each
+    other: the test then fails (broken barrier) unless that many ran at once.
+    Returns the idents of the calling threads, in call order."""
+    import threading
+
+    real, barrier, lock, callers = getattr(module, name), threading.Barrier(parties), threading.Lock(), []
+
+    def meeting(*args, **kwargs):
+        with lock:
+            callers.append(threading.get_ident())
+            first = len(callers) <= parties
+        if first:
+            barrier.wait(10.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, meeting)
+    return callers
+
+
+class TestSubJobs:
+    """Chains hand meta-training task jobs and adaptations to idle pool threads;
+    networks and reports stay bit-identical at any width."""
+
+    @staticmethod
+    def pairs():
+        from fdkg.strategies import PairSet
+
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (160, 8))
+        return PairSet(inputs=x, targets=1.0 / (1.0 + np.exp(-(x @ rng.normal(size=(8, 8))))))
+
+    @staticmethod
+    def in_pool(fn, width: int):
+        from fdkg.pipeline import _Pool, _run_chains
+
+        pool = _Pool()
+        return _run_chains([functools.partial(fn, pool)], width, pool)[0]
+
+    @pytest.mark.parametrize("g_tr", [1, 2])
+    @pytest.mark.parametrize("task_batch", [1, 3, 4])
+    def test_meta_train_flat_is_bitwise_equal_at_any_width(self, monkeypatch, task_batch, g_tr):
+        import fdkg.strategies as strategies
+        from fdkg.strategies import meta_train, partition_source_into_tasks
+        tasks = partition_source_into_tasks(self.pairs(), 8, 20, seed=4)
+        cfg = MetaConfig(inner_lr=0.05, inner_steps=g_tr, task_batch=task_batch, max_meta_iterations=6)
+        init = init_network([8, 16, 12, 8], seed=5)
+        serial = meta_train(init, tasks, cfg, seed=6)
+        for width in (1, 2, 3):
+            callers = []
+            if width > 1 and task_batch > 1:  # prove that task jobs ran on two threads at once
+                callers = meet_first_calls(monkeypatch, strategies, "inner_update")
+            net = self.in_pool(lambda pool: meta_train(init, tasks, cfg, seed=6, pool=pool), width)
+            assert np.array_equal(net.flat.view(np.uint64), serial.flat.view(np.uint64)), width
+            assert len(set(callers[:2])) == len(callers[:2])
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("algorithms", [["meta"], ["dtl"], ["direct", "dtl"]], ids=["meta", "dtl", "direct-dtl"])
+    def test_adaptation_jobs_give_the_serial_reports(self, monkeypatch, algorithms):
+        import fdkg.pipeline as pipeline
+
+        cfg = replace(two_target_config(), algorithms=algorithms, compute_randomness=True)
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: 1)
+        serial = run_pipeline(cfg)
+        assert len(serial.rows) == 2 * len(algorithms)
+        for width in (2, 3):
+            monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: width)
+            callers = meet_first_calls(monkeypatch, pipeline, "adapt")  # the two targets adapt at once
+            assert run_pipeline(cfg) == serial
+            assert len(set(callers[:2])) == 2
+            monkeypatch.undo()
+
+    def test_failed_task_job_is_raised_after_the_running_job_ends(self, monkeypatch):
+        import threading
+
+        import fdkg.strategies as strategies
+        from fdkg.strategies import meta_train, partition_source_into_tasks
+        both, lock, events = threading.Barrier(2), threading.Lock(), []
+
+        def inner_update(*args, **kwargs):
+            with lock:
+                n = sum(e.startswith("start") for e in events)
+                events.append(f"start {n}")
+            if n < 2:
+                both.wait(10.0)  # the first two task jobs run at once
+            if n == 0:
+                raise FloatingPointError("non-finite activations in forward pass")
+            time.sleep(0.2)  # still running when the first job fails
+            events.append(f"end {n}")
+            return real(*args, **kwargs)
+
+        real = strategies.inner_update
+        monkeypatch.setattr(strategies, "inner_update", inner_update)
+        tasks = partition_source_into_tasks(self.pairs(), 8, 20, seed=4)
+        cfg = MetaConfig(task_batch=4, max_meta_iterations=3)
+
+        def stage(pool):
+            try:
+                meta_train(init_network([8, 8], seed=1), tasks, cfg, pool=pool)
+            finally:
+                events.append("raised")
+
+        with pytest.raises(FloatingPointError):
+            self.in_pool(stage, 2)
+        assert events == ["start 0", "start 1", "end 1", "raised"]
+
+    def test_helper_cpu_time_is_credited_to_the_posting_stage(self):
+        import threading
+
+        both = threading.Barrier(2)
+
+        def spin():
+            both.wait(10.0)  # the two jobs run at once, so a helper runs one of them
+            t0 = time.thread_time()
+            while time.thread_time() - t0 < 0.2:
+                pass
+
+        def stage(pool):
+            t0, own0 = pool.clock(), time.thread_time()
+            list(pool.imap([spin, spin], 2))
+            return pool.clock() - t0, time.thread_time() - own0
+
+        total, own = self.in_pool(stage, 2)
+        assert own < 0.35 and total >= 0.39
+
+    def test_every_sub_job_runs_once_in_order_under_fast_switching(self):
+        import sys
+
+        from fdkg.pipeline import _Pool, _run_chains
+
+        pool, window = _Pool(), 3
+        runs = [[0] * 40 for _ in range(12)]
+        busy, clashes = set(), []
+
+        def job(c, i):
+            slot = (c, i % window)  # jobs i and i + window of one batch must never overlap
+            if slot in busy:
+                clashes.append(slot)
+            busy.add(slot)
+            runs[c][i] += 1
+            time.sleep(0)
+            busy.discard(slot)
+            return i
+
+        def chain(c):
+            return list(pool.imap([functools.partial(job, c, i) for i in range(40)], window))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # more threads than cores, switching as often as possible
+            results = _run_chains([functools.partial(chain, c) for c in range(12)], 8, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [list(range(40))] * 12 and runs == [[1] * 40] * 12 and not clashes
+
+
 BLAS_PROBE = (
     "import os, sys\n"
     "if sys.argv[1] == 'numpy-first':\n"

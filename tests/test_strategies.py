@@ -133,12 +133,18 @@ class TestInnerUpdate:
         assert out.weights[0][0, 0] == pytest.approx(0.72, abs=1e-12)
 
 
+def task_set(parts: list[tuple[PairSet, PairSet]]) -> MetaTaskSet:
+    """Tasks over a source that holds each (support, query) pair's rows in turn."""
+    sizes = [p.n for pair in parts for p in pair]
+    ends = np.cumsum(sizes)
+    ranges = [np.arange(end - size, end) for size, end in zip(sizes, ends)]
+    tasks = [MetaTask(support=ranges[2 * t], query=ranges[2 * t + 1]) for t in range(len(parts))]
+    return MetaTaskSet(source=PairSet.concat([p for pair in parts for p in pair]), tasks=tasks)
+
+
 def single_task_set(seed: int = 0, n: int = 16) -> MetaTaskSet:
     data = toy_pairs(2 * n, seed=seed)
-    return MetaTaskSet(
-        tasks=[MetaTask(support=data.subset(slice(0, n)), query=data.subset(slice(n, None)))],
-        samples_per_task=2 * n,
-    )
+    return MetaTaskSet(source=data, tasks=[MetaTask(support=np.arange(n), query=np.arange(n, 2 * n))])
 
 
 class TestMetaTrain:
@@ -151,16 +157,15 @@ class TestMetaTrain:
         # with no inner step the meta-update must coincide with one plain
         # ADAM step on the pooled query batch
         init = init_network([6, 8, 6], seed=7)
-        tasks = []
+        parts = []
         rng = np.random.default_rng(11)
         for t in range(4):
             data = toy_pairs(20, seed=100 + t)
-            tasks.append(MetaTask(support=data.subset(slice(0, 10)), query=data.subset(slice(10, None))))
-        task_set = MetaTaskSet(tasks=tasks, samples_per_task=20)
+            parts.append((PairSet(data.inputs[:10], data.targets[:10]), PairSet(data.inputs[10:], data.targets[10:])))
         cfg = MetaConfig(inner_lr=0.0, inner_steps=1, task_batch=4, max_meta_iterations=1)
-        meta_net = meta_train(init, task_set, cfg, seed=3)
+        meta_net = meta_train(init, task_set(parts), cfg, seed=3)
 
-        pooled = PairSet.concat([t.query for t in tasks])
+        pooled = PairSet.concat([query for _, query in parts])
         _, grads = backward(init, pooled.inputs, pooled.targets)
         ref, _ = adam_step(init, grads, init_adam_state(init), cfg.outer_lr)
         for a, b in zip(meta_net.weights + meta_net.biases, ref.weights + ref.biases):
@@ -172,10 +177,7 @@ class TestMetaTrain:
         # iteration: inner step w' = w + 0.1*2*(2-w), query gradient
         # 2*(w'-3) applied to w through ADAM.  Two iterations verify the
         # gradient magnitude, not just its sign.
-        tasks = MetaTaskSet(
-            tasks=[MetaTask(support=scalar_support(2.0), query=scalar_support(3.0))],
-            samples_per_task=4,
-        )
+        tasks = task_set([(scalar_support(2.0), scalar_support(3.0))])
         cfg = MetaConfig(
             inner_lr=0.1, outer_lr=1e-3, inner_steps=1, task_batch=1, max_meta_iterations=2
         )
@@ -215,12 +217,12 @@ class TestPartition:
     def test_exact_partition_no_reuse(self):
         data = toy_pairs(4000, seed=40)
         tasks = partition_source_into_tasks(data, n_tasks=40, samples_per_task=100, seed=1)
-        assert tasks.n_tasks == 40
+        assert len(tasks.tasks) == 40
         seen = []
         for t in tasks.tasks:
-            assert t.support.n == 50 and t.query.n == 50
-            seen.extend(t.support.inputs[:, 0].tolist())
-            seen.extend(t.query.inputs[:, 0].tolist())
+            assert len(t.support) == 50 and len(t.query) == 50
+            seen.extend(tasks.source.inputs[t.support, 0].tolist())
+            seen.extend(tasks.source.inputs[t.query, 0].tolist())
         assert len(seen) == 4000
         # multiset equality with the first 4000 source samples
         assert sorted(seen) == sorted(data.inputs[:, 0].tolist())
@@ -234,8 +236,8 @@ class TestPartition:
         )
         tasks = partition_source_into_tasks(tagged, n_tasks=2, samples_per_task=100, seed=2)
         for t in tasks.tasks:
-            support_ids = set(t.support.inputs[:, 0].tolist())
-            query_ids = set(t.query.inputs[:, 0].tolist())
+            support_ids = set(tasks.source.inputs[t.support, 0].tolist())
+            query_ids = set(tasks.source.inputs[t.query, 0].tolist())
             assert not support_ids & query_ids
 
     def test_insufficient_data_errors(self):
@@ -248,7 +250,7 @@ class TestPartition:
         labels = np.repeat([1.0, 2.0], 100)
         pooled = PairSet(inputs=np.column_stack([labels, data.inputs]), targets=data.targets)
         tasks = partition_source_into_tasks(pooled, n_tasks=4, samples_per_task=20, seed=3)
-        used = np.concatenate([np.vstack([t.support.inputs, t.query.inputs]) for t in tasks.tasks])
+        used = np.concatenate([tasks.source.inputs[np.concatenate([t.support, t.query])] for t in tasks.tasks])
         assert len(used) == 80
         assert set(used[:, 0]) == {1.0, 2.0}
         assert len({tuple(row) for row in used}) == 80  # no sample reused
