@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -50,7 +51,7 @@ from .strategies import (
     MetaConfig,
     PairSet,
     adapt,
-    adapt_state,
+    check_task_split,
     meta_train,
     partition_source_into_tasks,
     train_supervised,
@@ -75,6 +76,9 @@ class TaskSplitConfig:
     n_tasks: int = 400
     samples_per_task: int = 100
     support_fraction: float = 0.5
+
+    def __post_init__(self) -> None:
+        check_task_split(self.n_tasks, self.samples_per_task, self.support_fraction)
 
 
 # field name -> (group, key) for the ExperimentConfig fields the config JSON nests
@@ -122,6 +126,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {alg!r}; choose from {KNOWN_ALGORITHMS}")
         if not self.algorithms:
             raise ConfigError("no algorithms selected")
+        for name in ("algorithms", "snr_list_db"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} entries must be distinct, got {values}")
         if not self.snr_list_db:
             raise ConfigError("snr_list_db must be non-empty")
         for snr in (*self.snr_list_db, self.train_snr_db):
@@ -483,59 +491,75 @@ def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
     return source_pairs, targets
 
 
-def _model_chains(
-    cfg: ExperimentConfig,
-    init: NetworkParams,
-    source_pairs: PairSet,
-    targets: list[_TargetData],
-    clock,
-    pool: "_Pool",
-) -> list[Callable[[], dict[tuple[str, int], tuple[NetworkParams, float]]]]:
-    """The run's independent model-training chains, in queue order:
-    meta-training with the ``meta`` adaptations, one ``joint`` training per
-    target, and source pretraining with the ``direct`` and ``dtl`` models.
-    (On two cores the benchmark's desk workload ran as fast in this order as
-    with pretraining first, and its peak RSS was 5 MB lower.)  Each chain
-    returns ``{(algorithm, env_id): (network, preparation time)}``; within a
-    chain the order and the seeds are fixed, so the networks do not depend on
-    which chains run at the same time.  Chains post sub-jobs to ``pool``: ``meta_train`` one
-    per chosen task of an iteration, the meta and pretrain chains one adaptation per target.
+_Cell = tuple[ReportRow, list[RandomnessRow]]
 
-    The chains call ``train_supervised``, ``meta_train`` and ``adapt`` by
-    their module-global names, so wrappers set on this module see every call.
+
+def _model_chains(
+    cfg: ExperimentConfig, init: NetworkParams, source_pairs: PairSet, targets: list[_TargetData], key_sink
+) -> list[Callable[[], list[_Cell]]]:
+    """The run's independent model chains, in queue order: meta-training with
+    the ``meta`` adaptations, one ``joint`` training per target, source
+    pretraining with the ``direct`` and ``dtl`` models, and the ``identity``
+    cells.  (On two cores the benchmark's desk workload ran as fast in this
+    order as with pretraining first, and its peak RSS was 5 MB lower.)  A chain
+    scores each network's cells as soon as it has trained it and returns the
+    cells, so no network outlives its chain.  Within a chain the order and the
+    seeds are fixed, so the cells do not depend on which chains run at the same
+    time.
+
+    The chains call ``train_supervised``, ``meta_train``, ``adapt``,
+    ``forward``, ``nmse``, ``score_keys`` and ``run_battery`` by their
+    module-global names, so wrappers set on this module see every call.
     """
     algorithms = cfg.algorithms
+    clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
+    if cfg.record_wall_time and _BLAS_PINNED:
+        # with one BLAS thread a stage computes only on its own thread, so that
+        # thread's CPU time is the stage's time alone, whatever runs beside it
+        clock = time.thread_time
     adapt_seeds = [cfg.seed + 307 + env_idx for env_idx in range(len(targets))]
 
-    def adapt_each(kind: str, net: NetworkParams, elapsed: float):
-        def job(target: _TargetData, seed: int, box: list):
+    def score(alg: str, target: _TargetData, net: NetworkParams | None, prep_time: float) -> list[_Cell]:
+        """The cells of ``net`` (None predicts the input) on ``target``, one per test SNR."""
+        env_id, cells = target.spec.env_id, []
+        for snr in cfg.snr_list_db:
+            test = target.test_pairs[snr]
             t0 = clock()
-            state = box.pop()  # this job's adapt_state, or None to allocate it where the job runs
-            adapted = adapt(state[0] if state else net, target.adapt_pairs, cfg.meta, seed=seed, state=state)
-            return adapted, elapsed + (clock() - t0)
+            preds = test.inputs if net is None else forward(net, test.inputs)
+            cell_nmse = nmse(preds, test.targets)
+            keys = score_keys(preds, test.targets, cfg.quantizer_epsilon, cfg.ofdm.n_subcarriers)
+            if key_sink is not None:
+                key_sink(alg, env_id, snr, keys.alice_keys, keys.bob_keys)
+            elapsed = (clock() - t0) + prep_time
+            row = ReportRow(alg, env_id, snr, cell_nmse, keys.ker, keys.kgr, elapsed, cfg.seed)
+            battery = run_battery(keys.alice_keys) if cfg.compute_randomness and keys.alice_keys else []
+            cells.append(
+                (row, [RandomnessRow(alg, env_id, snr, b.test_name, b.mode, b.pass_ratio, b.n_keys) for b in battery])
+            )
+        return cells
 
-        # With threads to spare, allocate here what they may run (a helper's malloc arena would
-        # keep it), and drop ``net``, which the states copied, while they train.
-        boxes = [[adapt_state(net, t.adapt_pairs, cfg.meta) if pool.spare else None] for t in targets]
-        net = None if pool.spare else net
-        jobs = [functools.partial(job, *args) for args in zip(targets, adapt_seeds, boxes)]
-        return {(kind, t.spec.env_id): r for t, r in zip(targets, pool.imap(jobs, len(jobs)))}
+    def adapted_cells(kind: str, net: NetworkParams, elapsed: float) -> list[_Cell]:
+        cells = []
+        for target, seed in zip(targets, adapt_seeds):
+            t0 = clock()
+            tuned = adapt(net, target.adapt_pairs, cfg.meta, seed=seed)
+            cells += score(kind, target, tuned, elapsed + (clock() - t0))
+        return cells
 
     def pretrain_chain():
         t0 = clock()
         pretrained = train_supervised(init, source_pairs, cfg.train)
         elapsed = clock() - t0
         direct = targets if "direct" in algorithms else []
-        prepared = {("direct", t.spec.env_id): (pretrained, elapsed) for t in direct}
+        cells = [cell for target in direct for cell in score("direct", target, pretrained, elapsed)]
         if "dtl" in algorithms:
-            prepared.update(adapt_each("dtl", pretrained, elapsed))
-        return prepared
+            cells += adapted_cells("dtl", pretrained, elapsed)
+        return cells
 
     def joint_chain(target: _TargetData):
         t0 = clock()
-        pooled = PairSet.concat([source_pairs, target.adapt_pairs])
-        net = train_supervised(init, pooled, cfg.train)
-        return {("joint", target.spec.env_id): (net, clock() - t0)}
+        net = train_supervised(init, PairSet.concat([source_pairs, target.adapt_pairs]), cfg.train)
+        return score("joint", target, net, clock() - t0)
 
     def meta_chain():
         split = cfg.meta_tasks
@@ -543,9 +567,8 @@ def _model_chains(
             source_pairs, split.n_tasks, split.samples_per_task, split.support_fraction, seed=cfg.seed + 101
         )
         t0 = clock()
-        return adapt_each(  # passing meta_train's result on, so that only adapt_each holds it
-            "meta", meta_train(init, tasks, cfg.meta, seed=cfg.seed + 211, pool=pool), clock() - t0
-        )
+        meta_init = meta_train(init, tasks, cfg.meta, seed=cfg.seed + 211)
+        return adapted_cells("meta", meta_init, clock() - t0)
 
     chains = []
     if "meta" in algorithms:
@@ -554,194 +577,98 @@ def _model_chains(
         chains.extend(functools.partial(joint_chain, target) for target in targets)
     if "direct" in algorithms or "dtl" in algorithms:
         chains.append(pretrain_chain)
+    if "identity" in algorithms:
+        chains.append(lambda: [cell for target in targets for cell in score("identity", target, None, 0.0)])
     return chains
 
 
 def _chain_width(n_chains: int) -> int:
-    """Threads in a run's pool: one per usable core, however few the chains (idle threads
-    run sub-jobs), and 1 (serial) unless every BLAS call runs on one thread."""
+    """Threads that run the model chains: one per usable core, at most one per
+    chain, and 1 (serial) unless every BLAS call runs on one thread."""
     if not _BLAS_PINNED:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, n_chains))
 
 
-_PENDING = object()
+def _run_chains(chains: list[Callable], width: int) -> list:
+    """Run ``chains`` on this thread and ``width - 1`` helper threads, which
+    take them in order from one shared queue; return their results in chain
+    order.  Once a chain raises, no further chain starts, and its error is
+    raised here after the chains already running have ended.  An interrupt
+    (Ctrl-C) also starts no further chain but is raised at once: the helpers
+    are daemon threads, so the process need not wait for their chains."""
+    results: list = [None] * len(chains)
+    queue = iter(enumerate(chains))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
 
+    def work() -> None:
+        while True:
+            with lock:
+                item = None if errors else next(queue, None)
+            if item is None:
+                return
+            idx, chain = item
+            try:
+                results[idx] = chain()
+            except Exception as exc:
+                with lock:
+                    errors.append(exc)
 
-class _Batch:
-    """Jobs one thread posted with :meth:`_Pool.imap`; they start in order, job i once i < ``limit``."""
-
-    def __init__(self, jobs: list[Callable]) -> None:
-        self.jobs, self.poster = jobs, threading.get_ident()
-        self.results, self.cpu = [_PENDING] * len(jobs), 0.0  # cpu: of the jobs other threads ran
-        self.started = self.ended = self.limit = 0
-        self.error: Exception | None = None
-
-    def startable(self) -> bool:
-        return self.error is None and self.started < min(self.limit, len(self.jobs))
-
-
-class _Pool:
-    """The threads of one run: each takes waiting model chains first, then the
-    sub-jobs that running chains post with :meth:`imap`."""
-
-    def __init__(self) -> None:
-        self.width, self.spare, self.open = 1, False, False  # spare: more threads than chains
-        self.cond = threading.Condition()
-        self._batches: list[_Batch] = []  # in posting order, so the chains come first
-        self._credit = threading.local()
-
-    def clock(self) -> float:
-        """This thread's CPU time plus that of its :meth:`imap` jobs that other threads ran."""
-        return time.thread_time() + getattr(self._credit, "cpu_s", 0.0)
-
-    def _run_next(self, batch: _Batch) -> None:
-        """Run the next job of ``batch``; called holding the lock, released meanwhile."""
-        i, t0 = batch.started, time.thread_time()
-        batch.started += 1
-        self.cond.release()
-        try:
-            result, error = batch.jobs[i](), None
-        except Exception as exc:
-            result, error = _PENDING, exc
-        finally:
-            self.cond.acquire()
-        if batch.poster != threading.get_ident():
-            batch.cpu += time.thread_time() - t0
-        batch.results[i], batch.error = result, batch.error or error
-        batch.ended += 1
-        self.cond.notify_all()
-
-    def serve(self) -> None:
-        """A helper thread's loop: run the first startable job until the pool closes."""
-        with self.cond:
-            while self.open:
-                batch = next((b for b in self._batches if b.startable()), None)
-                if batch is None:
-                    self.cond.wait()
-                else:
-                    self._run_next(batch)
-
-    def imap(self, jobs: list[Callable], window: int, chains: bool = False):
-        """Yield the results of ``jobs`` in order.  Idle threads take the jobs in order; this thread
-        runs those none took (with ``chains``, any thread's jobs while it waits).  Job i starts once
-        result i - window is taken.  Once a job raises, no further job starts, and its error is
-        raised here after the running jobs have ended."""
-        batch, cond = _Batch(jobs), self.cond
-        scope = self._batches if chains else [batch]  # the batches this thread runs jobs of
-        with cond:
-            self._batches.append(batch)
-        try:
-            for k in range(len(jobs)):
-                with cond:
-                    batch.limit = k + window
-                    cond.notify_all()
-                    while batch.results[k] is _PENDING:
-                        ready = next((b for b in scope if b.startable()), None)
-                        if ready is not None:
-                            self._run_next(ready)
-                        elif batch.error is not None and batch.ended == batch.started:
-                            raise batch.error
-                        else:
-                            cond.wait()
-                yield batch.results[k]
-            self._credit.cpu_s = getattr(self._credit, "cpu_s", 0.0) + batch.cpu
-        finally:
-            with cond:
-                self._batches.remove(batch)
-
-
-def _run_chains(chains: list[Callable], width: int, pool: _Pool | None = None) -> list:
-    """Run ``chains`` as :meth:`_Pool.imap` jobs of ``pool`` (a new one by default) on this thread
-    and ``width - 1`` helpers, and return their results.  This thread takes the first chain, so it
-    reuses the memory data synthesis freed here.  Ctrl-C starts no further chain and is raised at
-    once: the helpers are daemon threads, so the process need not wait for them."""
-    pool = pool or _Pool()
-    pool.width, pool.spare, pool.open = width, width > len(chains), True
-    helpers = [threading.Thread(target=pool.serve, daemon=True) for _ in range(width - 1)]
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(width - 1)]
     for helper in helpers:
         helper.start()
     try:
-        results = list(pool.imap(chains, len(chains), chains=True))
-    finally:
-        with pool.cond:
-            pool.open = False
-            pool.cond.notify_all()
-    for helper in helpers:  # idle now: every chain and sub-job has ended
-        helper.join()
+        work()  # this thread works too, so it reuses the memory that data synthesis freed here
+        for helper in helpers:
+            helper.join()
+    except BaseException as exc:
+        with lock:
+            errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
     return results
 
 
-def run_pipeline(cfg: ExperimentConfig, key_sink=None, data=None) -> ExperimentReport:
+def _shared_fields(cfg: ExperimentConfig) -> tuple:
+    """The fields that decide a run's data and initial network."""
+    return _data_fields(cfg), cfg.hidden_dims, cfg.seed
+
+
+def _run_group(cfgs: list[ExperimentConfig], key_sink=None) -> list[ExperimentReport]:
+    """The reports of scaled configs with equal :func:`_shared_fields`: their data and
+    initial network are made once, and the model chains of all of them share one queue."""
+    source_pairs, targets = _prepare_data(cfgs[0])
+    dim = 2 * cfgs[0].ofdm.n_subcarriers
+    init = init_network([dim, *cfgs[0].hidden_dims, dim], seed=cfgs[0].seed)
+    runs = [_model_chains(cfg, init, source_pairs, targets, key_sink) for cfg in cfgs]
+    results = iter(_run_chains([chain for run in runs for chain in run], _chain_width(sum(map(len, runs)))))
+    order = {alg: i for i, alg in enumerate(KNOWN_ALGORITHMS)}
+    reports = []
+    for run in runs:
+        cells = sorted(
+            (cell for _ in run for cell in next(results)),
+            key=lambda cell: (order[cell[0].algorithm], cell[0].env, cell[0].snr_db),
+        )
+        reports.append(ExperimentReport(rows=[row for row, _ in cells], randomness=[r for _, rs in cells for r in rs]))
+    return reports
+
+
+def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
     """Run every selected algorithm over every (target env, SNR) cell.
 
     ``key_sink(algorithm, env_id, snr_db, alice_keys, bob_keys)`` is called
-    per cell when given, e.g. to write ASCII key dumps for external
-    randomness suites.  ``data`` is the synthesized data of a run whose
-    scaled config has the same :func:`_data_fields` (``sweep`` passes it);
-    without it the data is synthesized here.
+    once per cell when given, e.g. to write ASCII key dumps for external
+    randomness suites.  Cells are scored by the chain that trained their
+    model, so the sink may be called from pool threads, for several cells at
+    once and in any order.
     """
-    cfg = apply_scale(cfg)
-    pool = _Pool()
-    clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
-    if cfg.record_wall_time and _BLAS_PINNED:
-        # with one BLAS thread a job computes only on the thread that runs it, so
-        # the CPU time of a stage's jobs is the stage's time alone, whatever runs beside it
-        clock = pool.clock
-
-    source_pairs, targets = _prepare_data(cfg) if data is None else data
-    dim = 2 * cfg.ofdm.n_subcarriers
-    dims = [dim, *cfg.hidden_dims, dim]
-    init = init_network(dims, seed=cfg.seed)
-
-    chains = _model_chains(cfg, init, source_pairs, targets, clock, pool)
-    # (algorithm, env_id) -> (network, preparation time); identity predicts its input
-    models: dict[tuple[str, int], tuple[NetworkParams | None, float]] = {
-        ("identity", t.spec.env_id): (None, 0.0) for t in targets if "identity" in cfg.algorithms
-    }
-    for prepared in _run_chains(chains, _chain_width(len(chains)), pool):
-        models.update(prepared)
-
-    def evaluate(alg: str, target: _TargetData, snr: float) -> tuple[ReportRow, list[RandomnessRow]]:
-        env_id = target.spec.env_id
-        test = target.test_pairs[snr]
-        net, prep_time = models[(alg, env_id)]
-        t0 = clock()
-        preds = test.inputs if net is None else forward(net, test.inputs)
-        cell_nmse = nmse(preds, test.targets)
-        keys = score_keys(preds, test.targets, cfg.quantizer_epsilon, cfg.ofdm.n_subcarriers)
-        if key_sink is not None:
-            key_sink(alg, env_id, snr, keys.alice_keys, keys.bob_keys)
-        elapsed = (clock() - t0) + prep_time
-        row = ReportRow(
-            algorithm=alg,
-            env=env_id,
-            snr_db=snr,
-            nmse=cell_nmse,
-            ker=keys.ker,
-            kgr=keys.kgr,
-            wall_time_s=elapsed,
-            seed=cfg.seed,
-        )
-        battery = run_battery(keys.alice_keys) if cfg.compute_randomness and keys.alice_keys else []
-        return row, [
-            RandomnessRow(alg, env_id, snr, b.test_name, b.mode, b.pass_ratio, b.n_keys) for b in battery
-        ]
-
-    results = [
-        evaluate(alg, target, snr)
-        for alg in cfg.algorithms
-        for target in targets
-        for snr in cfg.snr_list_db
-    ]
-    order = {alg: i for i, alg in enumerate(KNOWN_ALGORITHMS)}
-    results.sort(key=lambda pair: (order[pair[0].algorithm], pair[0].env, pair[0].snr_db))
-    rows = [r for r, _ in results]
-    randomness = [rr for _, rand in results for rr in rand]
-    return ExperimentReport(rows=rows, randomness=randomness)
+    return _run_group([apply_scale(cfg)], key_sink)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -770,13 +697,16 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
     """Re-run the pipeline per axis value with shared seeds for pairing.
 
     The SNR axis is a single run (training is shared across test SNRs);
-    other axes re-run the pipeline once per value, synthesizing the data
-    again only when a value changes a data field (sizes, environments, SNRs).
+    other axes train every value's models, synthesizing the data again only
+    when a value changes a data field (sizes, environments, SNRs).  The model
+    chains of consecutive values with the same data run in one queue.
     Report and randomness rows carry the axis name and value for plot-ready
     long-format output.
     """
     if not values:
         raise ConfigError("sweep values must be non-empty")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweep values must be distinct, got {values}")
     if axis == "snr":
         report = run_pipeline(replace(cfg, snr_list_db=[float(v) for v in values]))
         return ExperimentReport(
@@ -785,18 +715,12 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
         )
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    configs = [_with_axis(cfg, axis, value) for value in values]  # validate every value first
-    rows: list[ReportRow] = []
-    randomness: list[RandomnessRow] = []
-    data_fields, data = None, None
-    for value, value_cfg in zip(values, configs):
-        scaled = apply_scale(value_cfg)
-        fields = _data_fields(scaled)
-        if fields != data_fields:
-            data = None  # release the previous dataset before synthesizing the next
-            data_fields, data = fields, _prepare_data(scaled)
-        report = run_pipeline(value_cfg, data=data)
-        tag = {"axis": axis, "axis_value": float(value)}
-        rows.extend(replace(r, **tag) for r in report.rows)
-        randomness.extend(replace(r, **tag) for r in report.randomness)
-    return ExperimentReport(rows=rows, randomness=randomness)
+    configs = [apply_scale(_with_axis(cfg, axis, value)) for value in values]  # validate every value first
+    # consecutive values with the same data share it and one chain queue; a group's data is freed before the next
+    groups = itertools.groupby(configs, _shared_fields)
+    reports = [report for _, group in groups for report in _run_group(list(group))]
+    tags = [{"axis": axis, "axis_value": float(value)} for value in values]
+    return ExperimentReport(
+        rows=[replace(r, **tag) for tag, report in zip(tags, reports) for r in report.rows],
+        randomness=[replace(r, **tag) for tag, report in zip(tags, reports) for r in report.randomness],
+    )

@@ -19,7 +19,6 @@ fixed seeds: batch orders come from seeded shuffles.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +76,6 @@ class MetaTask:
 class MetaTaskSet:
     source: PairSet
     tasks: list[MetaTask]
-
-
-class _TaskSlot:
-    """Buffers of one concurrent meta-training task: rows, workspace, adapted parameters."""
-
-    def __init__(self, net: NetworkParams, rows: int) -> None:
-        self.inputs, self.targets = np.empty((rows, net.layer_dims[0])), np.empty((rows, net.layer_dims[-1]))
-        self.work, self.params = Workspace(net, rows), np.empty(net.n_parameters)
-
-    def gather(self, source: PairSet, idx: np.ndarray) -> PairSet:
-        n = len(idx)
-        inputs = np.take(source.inputs, idx, axis=0, out=self.inputs[:n])
-        return PairSet(inputs, np.take(source.targets, idx, axis=0, out=self.targets[:n]))
 
 
 @dataclass(frozen=True)
@@ -172,24 +158,17 @@ def train_supervised(
     return net
 
 
-def adapt_state(pretrained: NetworkParams, adapt_set: PairSet, cfg: MetaConfig) -> tuple:
-    """The copy of ``pretrained`` that :func:`adapt` trains, with its ADAM state and workspace."""
-    net = pretrained.copy()  # adam_step updates it in place
-    return net, init_adam_state(net), Workspace(net, min(cfg.adapt_batch_size, adapt_set.n))
-
-
 def adapt(
     pretrained: NetworkParams,
     adapt_set: PairSet,
     cfg: MetaConfig,
     seed: int = 0,
     loss_history: list[float] | None = None,
-    state: tuple | None = None,
 ) -> NetworkParams:
-    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates,
-    in ``state`` (by default the :func:`adapt_state` allocated here)."""
-    net, *buffers = state or adapt_state(pretrained, adapt_set, cfg)
-    for loss in _adam_losses(net, adapt_set, cfg.adapt_steps, cfg.outer_lr, seed, *buffers):
+    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates."""
+    net = pretrained.copy()  # adam_step updates it in place
+    state, work = init_adam_state(net), Workspace(net, min(cfg.adapt_batch_size, adapt_set.n))
+    for loss in _adam_losses(net, adapt_set, cfg.adapt_steps, cfg.outer_lr, seed, state, work):
         if loss_history is not None:
             loss_history.append(loss)
     return net
@@ -221,7 +200,6 @@ def meta_train(
     cfg: MetaConfig,
     seed: int = 0,
     loss_history: list[float] | None = None,
-    pool=None,
 ) -> NetworkParams:
     """First-order meta-training of a shared initialization.
 
@@ -232,11 +210,6 @@ def meta_train(
     averaging makes one meta-iteration with zero inner rate coincide exactly
     with a plain ADAM step on the pooled query data.  Stops at the iteration
     cap or when the summed query loss plateaus.
-
-    Each task's inner update and query gradient is a job of ``pool`` (the run's chain pool;
-    serial without one) in buffer slot i mod ``pool.width``, allocated here: ``pool.imap(jobs,
-    window)`` yields results in order and starts job i once result i - window is taken.
-    Losses and gradients are summed here in task order: the same bits at any width.
     """
     if len(tasks.tasks) < cfg.task_batch:
         raise ConfigError(
@@ -244,25 +217,30 @@ def meta_train(
         )
     net = init.copy()  # adam_step updates it in place
     state = init_adam_state(net)
+    # every task reuses one set of buffers: its gathered rows, a workspace and the adapted parameters
     rows = max(max(len(t.support), len(t.query)) for t in tasks.tasks)
-    slots = [_TaskSlot(net, rows) for _ in range(pool.width if pool else 1)]
-    imap = pool.imap if pool else lambda jobs, window: (job() for job in jobs)
+    inputs, targets = np.empty((rows, net.layer_dims[0])), np.empty((rows, net.layer_dims[-1]))
+    work, adapted_flat = Workspace(net, rows), np.empty(net.n_parameters)
     meta_grads = Gradients.zeros_like(net)
     rng = np.random.default_rng(seed)
     totals: list[float] = []
 
-    def job(slot: _TaskSlot, task: MetaTask) -> tuple[float, Gradients]:
-        support = slot.gather(tasks.source, task.support)
-        adapted = inner_update(net, support, cfg.inner_lr, cfg.inner_steps, slot.work, slot.params)
-        query = slot.gather(tasks.source, task.query)
-        return backward(adapted, query.inputs, query.targets, slot.work)
+    def gather(idx: np.ndarray) -> PairSet:
+        n = len(idx)
+        return PairSet(
+            np.take(tasks.source.inputs, idx, axis=0, out=inputs[:n]),
+            np.take(tasks.source.targets, idx, axis=0, out=targets[:n]),
+        )
 
     for _ in range(cfg.max_meta_iterations):
         chosen = rng.choice(len(tasks.tasks), size=cfg.task_batch, replace=False)
         meta_grads.flat.fill(0.0)
         total_loss = 0.0
-        jobs = [functools.partial(job, slots[i % len(slots)], tasks.tasks[t]) for i, t in enumerate(chosen)]
-        for loss, grads in imap(jobs, len(slots)):
+        for t in chosen:
+            task = tasks.tasks[t]
+            adapted = inner_update(net, gather(task.support), cfg.inner_lr, cfg.inner_steps, work, adapted_flat)
+            query = gather(task.query)
+            loss, grads = backward(adapted, query.inputs, query.targets, work)
             total_loss += loss
             meta_grads.add_(grads)
         meta_grads.flat *= 1.0 / cfg.task_batch
@@ -273,6 +251,23 @@ def meta_train(
         if _plateaued(totals):
             break
     return net
+
+
+def check_task_split(n_tasks: int, samples_per_task: int, support_fraction: float) -> int:
+    """Raise ConfigError unless there is at least one task of at least one sample and
+    ``support_fraction`` leaves each task a non-empty support and query set; return
+    the support set's size."""
+    if n_tasks < 1 or samples_per_task < 1:
+        raise ConfigError(f"need n_tasks >= 1 and samples_per_task >= 1, got {n_tasks} and {samples_per_task}")
+    if not 0.0 < support_fraction < 1.0:
+        raise ConfigError(f"support_fraction must lie in (0, 1), got {support_fraction}")
+    n_support = int(round(samples_per_task * support_fraction))
+    if n_support == 0 or n_support == samples_per_task:
+        raise ConfigError(
+            f"support_fraction {support_fraction} leaves an empty support or query set "
+            f"in a task of {samples_per_task} samples"
+        )
+    return n_support
 
 
 def partition_source_into_tasks(
@@ -290,14 +285,10 @@ def partition_source_into_tasks(
     samples form the support set and the rest the query set, so support and
     query never overlap.  The tasks hold row indices into ``source``.
     """
+    n_support = check_task_split(n_tasks, samples_per_task, support_fraction)
     needed = n_tasks * samples_per_task
     if needed > source.n:
         raise ConfigError(f"need {needed} samples for {n_tasks} tasks, have {source.n}")
-    if not 0.0 < support_fraction < 1.0:
-        raise ConfigError(f"support_fraction must lie in (0, 1), got {support_fraction}")
-    n_support = int(round(samples_per_task * support_fraction))
-    if n_support == 0 or n_support == samples_per_task:
-        raise ConfigError("support_fraction leaves an empty support or query set")
     rng = np.random.default_rng(seed)
     chunks = rng.permutation(source.n)[:needed].reshape(n_tasks, samples_per_task)
     return MetaTaskSet(source, [MetaTask(c[:n_support], c[n_support:]) for c in chunks])

@@ -93,6 +93,11 @@ def forbid_work(monkeypatch):
         lambda d: d.update(compute_randomnes=True),
         lambda d: d["environments"]["targets"].append(dict(d["environments"]["targets"][0], seed=99)),
         lambda d: d.update(n_source=5),
+        lambda d: d.update(algorithms=["direct", "direct"]),
+        lambda d: d.update(snr_list_db=[20.0, 20.0]),
+        lambda d: d["meta_tasks"].update(support_fraction=1.0),
+        # scaling once lifted n_tasks 0 to 1
+        lambda d: (d.update(scale_factor=0.5), d["meta_tasks"].update(n_tasks=0), d["meta"].update(task_batch=1)),
     ],
     ids=[
         "zero_batch_size",
@@ -106,6 +111,10 @@ def forbid_work(monkeypatch):
         "unknown_key",
         "duplicate_target_env_id",
         "grouped_field_at_top_level",
+        "duplicate_algorithm",
+        "duplicate_test_snr",
+        "support_fraction_one",
+        "zero_meta_tasks_scaled",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -251,6 +260,39 @@ def test_sweep_integer_axis_rejects_non_whole_values_before_any_work(tmp_path, m
     assert result.exit_code == 2, result.output
     assert "whole numbers" in result.output
     assert called == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, values", [("g_tr", "1,1"), ("e_batch", "2,1,2"), ("snr", "20,20")])
+def test_sweep_duplicate_values_exit_2_before_any_work(tmp_path, monkeypatch, axis, values):
+    called = forbid_work(monkeypatch)
+    cfg_path = write_config_dict(tmp_path, lambda d: None)
+    out = tmp_path / "out"
+    result = invoke("sweep", "--axis", axis, "--values", values, "--config", str(cfg_path), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "distinct" in result.output
+    assert called == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_sweep_numeric_failure_in_a_later_value_exits_3(tmp_path, monkeypatch, width):
+    import fdkg.pipeline as pipeline
+
+    real = pipeline.meta_train
+
+    def diverge_at_g_tr_2(init, tasks, cfg, **kwargs):
+        if cfg.inner_steps == 2:
+            raise FloatingPointError("non-finite activations in forward pass")
+        return real(init, tasks, cfg, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: width)
+    monkeypatch.setattr(pipeline, "meta_train", diverge_at_g_tr_2)
+    cfg_path = write_config_dict(tmp_path, lambda d: d.update(algorithms=["meta"]))
+    out = tmp_path / "out"
+    result = invoke("sweep", "--axis", "g_tr", "--values", "1,2", "--config", str(cfg_path), "--out", str(out))
+    assert result.exit_code == 3, result.output
+    assert "numeric failure" in result.output
     assert not out.exists()
 
 

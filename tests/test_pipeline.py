@@ -165,10 +165,26 @@ class TestConfig:
         import fdkg.pipeline as pipeline
 
         calls = []
-        monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(pipeline, "generate_env_dataset", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError):
             sweep(mini_config(algorithms=["meta"]), "e_batch", [2, 99])
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "split",
+        [
+            dict(n_tasks=0),
+            dict(samples_per_task=0),
+            dict(support_fraction=1.0),
+            dict(support_fraction=0.0),
+            dict(support_fraction=math.nan),
+            dict(support_fraction=0.01),  # rounds to an empty support set of a 20-sample task
+            dict(support_fraction=0.99),  # ... and to an empty query set
+        ],
+    )
+    def test_task_split_rejected_when_built(self, split):
+        with pytest.raises(ConfigError):
+            TaskSplitConfig(**{"n_tasks": 4, "samples_per_task": 20, **split})
 
     def test_profiles_validate(self):
         assert desk_profile().n_source == 4000
@@ -277,8 +293,8 @@ class TestModelChains:
         for name in ("train_supervised", "meta_train", "adapt"):
             monkeypatch.setattr(pipeline, name, functools.partial(diverge, _name=name))
         self.set_width(monkeypatch, width)
-        # four chains in queue order: meta, joint env 2, joint env 3, pretrain;
-        # each fails at its first training call, so a call marks a started chain
+        # five chains in queue order: meta, joint env 2, joint env 3, pretrain, identity;
+        # each but identity fails at its first training call, so a call marks a started chain
         with pytest.raises(FloatingPointError):
             run_pipeline(two_target_config())
         assert 1 <= len(calls) <= width and "adapt" not in calls
@@ -353,6 +369,18 @@ class TestModelChains:
         rows = run_pipeline(cfg).rows
         assert len(rows) == 4 and all(0.0 < row.wall_time_s < 0.5 for row in rows)
 
+    def test_key_sink_gets_each_cell_once_at_any_width(self, monkeypatch):
+        cfg = replace(two_target_config(), snr_list_db=[math.inf, 20.0])
+        sunk = []
+        for width in (1, 3):
+            self.set_width(monkeypatch, width)
+            calls = []
+            report = run_pipeline(cfg, key_sink=lambda *cell: calls.append(cell))
+            assert sorted(c[:3] for c in calls) == sorted((r.algorithm, r.env, r.snr_db) for r in report.rows)
+            assert len(calls) == 20
+            sunk.append({c[:3]: [k.tolist() for k in c[3] + c[4]] for c in calls})
+        assert sunk[0] == sunk[1]
+
     def test_runner_runs_every_chain_once_under_fast_switching(self):
         import sys
 
@@ -391,142 +419,6 @@ def meet_first_calls(monkeypatch, module, name: str, parties: int = 2) -> list[i
 
     monkeypatch.setattr(module, name, meeting)
     return callers
-
-
-class TestSubJobs:
-    """Chains hand meta-training task jobs and adaptations to idle pool threads;
-    networks and reports stay bit-identical at any width."""
-
-    @staticmethod
-    def pairs():
-        from fdkg.strategies import PairSet
-
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.0, 1.0, (160, 8))
-        return PairSet(inputs=x, targets=1.0 / (1.0 + np.exp(-(x @ rng.normal(size=(8, 8))))))
-
-    @staticmethod
-    def in_pool(fn, width: int):
-        from fdkg.pipeline import _Pool, _run_chains
-
-        pool = _Pool()
-        return _run_chains([functools.partial(fn, pool)], width, pool)[0]
-
-    @pytest.mark.parametrize("g_tr", [1, 2])
-    @pytest.mark.parametrize("task_batch", [1, 3, 4])
-    def test_meta_train_flat_is_bitwise_equal_at_any_width(self, monkeypatch, task_batch, g_tr):
-        import fdkg.strategies as strategies
-        from fdkg.strategies import meta_train, partition_source_into_tasks
-        tasks = partition_source_into_tasks(self.pairs(), 8, 20, seed=4)
-        cfg = MetaConfig(inner_lr=0.05, inner_steps=g_tr, task_batch=task_batch, max_meta_iterations=6)
-        init = init_network([8, 16, 12, 8], seed=5)
-        serial = meta_train(init, tasks, cfg, seed=6)
-        for width in (1, 2, 3):
-            callers = []
-            if width > 1 and task_batch > 1:  # prove that task jobs ran on two threads at once
-                callers = meet_first_calls(monkeypatch, strategies, "inner_update")
-            net = self.in_pool(lambda pool: meta_train(init, tasks, cfg, seed=6, pool=pool), width)
-            assert np.array_equal(net.flat.view(np.uint64), serial.flat.view(np.uint64)), width
-            assert len(set(callers[:2])) == len(callers[:2])
-            monkeypatch.undo()
-
-    @pytest.mark.parametrize("algorithms", [["meta"], ["dtl"], ["direct", "dtl"]], ids=["meta", "dtl", "direct-dtl"])
-    def test_adaptation_jobs_give_the_serial_reports(self, monkeypatch, algorithms):
-        import fdkg.pipeline as pipeline
-
-        cfg = replace(two_target_config(), algorithms=algorithms, compute_randomness=True)
-        monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: 1)
-        serial = run_pipeline(cfg)
-        assert len(serial.rows) == 2 * len(algorithms)
-        for width in (2, 3):
-            monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: width)
-            callers = meet_first_calls(monkeypatch, pipeline, "adapt")  # the two targets adapt at once
-            assert run_pipeline(cfg) == serial
-            assert len(set(callers[:2])) == 2
-            monkeypatch.undo()
-
-    def test_failed_task_job_is_raised_after_the_running_job_ends(self, monkeypatch):
-        import threading
-
-        import fdkg.strategies as strategies
-        from fdkg.strategies import meta_train, partition_source_into_tasks
-        both, lock, events = threading.Barrier(2), threading.Lock(), []
-
-        def inner_update(*args, **kwargs):
-            with lock:
-                n = sum(e.startswith("start") for e in events)
-                events.append(f"start {n}")
-            if n < 2:
-                both.wait(10.0)  # the first two task jobs run at once
-            if n == 0:
-                raise FloatingPointError("non-finite activations in forward pass")
-            time.sleep(0.2)  # still running when the first job fails
-            events.append(f"end {n}")
-            return real(*args, **kwargs)
-
-        real = strategies.inner_update
-        monkeypatch.setattr(strategies, "inner_update", inner_update)
-        tasks = partition_source_into_tasks(self.pairs(), 8, 20, seed=4)
-        cfg = MetaConfig(task_batch=4, max_meta_iterations=3)
-
-        def stage(pool):
-            try:
-                meta_train(init_network([8, 8], seed=1), tasks, cfg, pool=pool)
-            finally:
-                events.append("raised")
-
-        with pytest.raises(FloatingPointError):
-            self.in_pool(stage, 2)
-        assert events == ["start 0", "start 1", "end 1", "raised"]
-
-    def test_helper_cpu_time_is_credited_to_the_posting_stage(self):
-        import threading
-
-        both = threading.Barrier(2)
-
-        def spin():
-            both.wait(10.0)  # the two jobs run at once, so a helper runs one of them
-            t0 = time.thread_time()
-            while time.thread_time() - t0 < 0.2:
-                pass
-
-        def stage(pool):
-            t0, own0 = pool.clock(), time.thread_time()
-            list(pool.imap([spin, spin], 2))
-            return pool.clock() - t0, time.thread_time() - own0
-
-        total, own = self.in_pool(stage, 2)
-        assert own < 0.35 and total >= 0.39
-
-    def test_every_sub_job_runs_once_in_order_under_fast_switching(self):
-        import sys
-
-        from fdkg.pipeline import _Pool, _run_chains
-
-        pool, window = _Pool(), 3
-        runs = [[0] * 40 for _ in range(12)]
-        busy, clashes = set(), []
-
-        def job(c, i):
-            slot = (c, i % window)  # jobs i and i + window of one batch must never overlap
-            if slot in busy:
-                clashes.append(slot)
-            busy.add(slot)
-            runs[c][i] += 1
-            time.sleep(0)
-            busy.discard(slot)
-            return i
-
-        def chain(c):
-            return list(pool.imap([functools.partial(job, c, i) for i in range(40)], window))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:  # more threads than cores, switching as often as possible
-            results = _run_chains([functools.partial(chain, c) for c in range(12)], 8, pool)
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [list(range(40))] * 12 and runs == [[1] * 40] * 12 and not clashes
 
 
 BLAS_PROBE = (
@@ -677,6 +569,21 @@ class TestSweep:
         report = sweep(cfg, axis, values)
         assert calls == [120, 24, 24]  # source, target adaptation and test sets of the first value
         assert report.rows == per_value
+
+    def test_values_train_concurrently_in_one_queue(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        cfg = mini_config(snr=20.0, algorithms=["meta"])
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: 1)
+        per_value = [
+            replace(r, axis="g_tr", axis_value=float(v))
+            for v in (1, 2)
+            for r in run_pipeline(_with_axis(cfg, "g_tr", v)).rows
+        ]
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_chains: 2)
+        callers = meet_first_calls(monkeypatch, pipeline, "meta_train")  # both values meta-train at once
+        assert sweep(cfg, "g_tr", [1, 2]).rows == per_value
+        assert len(set(callers)) == 2
 
     def test_n_ad_axis_synthesizes_per_value(self, monkeypatch):
         calls = self.count_synthesis(monkeypatch)
