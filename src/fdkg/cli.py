@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import sys
 from pathlib import Path
 
@@ -127,15 +128,13 @@ def nist(keys_path: str, out_path: str) -> None:
         if not keys:
             raise ConfigError(f"{keys_path}: no keys found")
         rows = run_battery(keys)
-        with open(out_path, "w") as fh:
-            fh.write("test,mode,params,n_keys,pass_ratio,p_values\n")
+        with open(out_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["test", "mode", "params", "n_keys", "pass_ratio", "p_values"])
             for row in rows:
                 params = ";".join(f"{k}={v}" for k, v in sorted(row.params.items()))
                 pvals = ";".join(f"{p:.9g}" for p in row.p_values)
-                fh.write(
-                    f"{row.test_name},{row.mode},{params},{row.n_keys},"
-                    f"{row.pass_ratio:.9g},{pvals}\n"
-                )
+                writer.writerow([row.test_name, row.mode, params, row.n_keys, f"{row.pass_ratio:.9g}", pvals])
         for row in rows:
             click.echo(f"{row.test_name:22s} {row.mode:13s} pass ratio {row.pass_ratio:.4f}")
 

@@ -25,6 +25,8 @@ MODEL_VERSION = 1
 def save_model(net: NetworkParams, normalizer: Normalizer, path: str | Path) -> None:
     if normalizer.col_min.shape[0] != net.layer_dims[0]:
         raise ValueError("normalizer dimension must match the network input dimension")
+    if net.output_activation != "sigmoid":  # the file has no activation field; load_model builds sigmoid
+        raise ValueError(f"only sigmoid-output networks can be saved, got {net.output_activation!r}")
     dims = net.layer_dims
     with open(Path(path), "wb") as fh:
         fh.write(MODEL_MAGIC)

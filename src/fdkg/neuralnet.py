@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 ADAM_EPS = 1e-8
@@ -151,9 +153,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0 or self.learning_rate <= 0 or self.eval_interval <= 0:
-            raise ValueError("batch_size, learning_rate and eval_interval must be positive")
+            raise ConfigError("batch_size, learning_rate and eval_interval must be positive")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+            raise ConfigError("max_iterations must be >= 0")
 
 
 def init_network(

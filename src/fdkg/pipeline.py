@@ -27,7 +27,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -81,29 +81,49 @@ class TaskSplitConfig:
         check_task_split(self.n_tasks, self.samples_per_task, self.support_fraction)
 
 
-# field name -> (group, key) for the ExperimentConfig fields the config JSON nests
-JSON_GROUPS = {
-    "source_envs": ("environments", "source"),
-    "target_envs": ("environments", "targets"),
-    **{name: ("sizes", name) for name in ("n_source", "n_target", "n_adapt", "n_test")},
-}
+@dataclass(frozen=True)
+class Environments:
+    """The known (source) environments, pooled for training, and the new (target) ones."""
+
+    source: list[EnvironmentSpec]
+    targets: list[EnvironmentSpec]
+
+    def __post_init__(self) -> None:
+        if not self.source or not self.targets:
+            raise ConfigError("need at least one source and one target environment")
+        target_ids = [spec.env_id for spec in self.targets]
+        if len(set(target_ids)) != len(target_ids):
+            raise ConfigError(f"target environments need distinct env_ids, got {target_ids}")
 
 
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
-    """One experiment; the config JSON holds these fields in this order, with
-    ``source_envs``/``target_envs`` and ``n_source``..``n_test`` grouped as
-    :data:`JSON_GROUPS` says."""
+@dataclass(frozen=True)
+class Sizes:
+    """Samples per source and per target environment; a target's first ``n_adapt``
+    samples adapt the networks and its last ``n_test`` test them."""
 
-    seed: int = 0
-    scale_factor: float = 1.0
-    ofdm: OfdmConfig
-    source_envs: list[EnvironmentSpec]
-    target_envs: list[EnvironmentSpec]
     n_source: int
     n_target: int
     n_adapt: int
     n_test: int
+
+    def __post_init__(self) -> None:
+        if self.n_source < 1 or self.n_target < 1:
+            raise ConfigError("n_source and n_target must be >= 1")
+        if self.n_adapt < 1 or self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
+            raise ConfigError(
+                f"need n_adapt + n_test <= n_target, got {self.n_adapt}+{self.n_test} > {self.n_target}"
+            )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """One experiment; the config JSON holds these fields in this order."""
+
+    seed: int = 0
+    scale_factor: float = 1.0
+    ofdm: OfdmConfig
+    environments: Environments
+    sizes: Sizes
     snr_list_db: list[float]
     train_snr_db: float
     algorithms: list[str]
@@ -116,11 +136,6 @@ class ExperimentConfig:
     compute_randomness: bool = False
 
     def __post_init__(self) -> None:
-        if not self.source_envs or not self.target_envs:
-            raise ConfigError("need at least one source and one target environment")
-        target_ids = [spec.env_id for spec in self.target_envs]
-        if len(set(target_ids)) != len(target_ids):
-            raise ConfigError(f"target environments need distinct env_ids, got {target_ids}")
         for alg in self.algorithms:
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}; choose from {KNOWN_ALGORITHMS}")
@@ -138,12 +153,6 @@ class ExperimentConfig:
         if not 0.0 < self.scale_factor <= 1.0:
             raise ConfigError(f"scale_factor must lie in (0, 1], got {self.scale_factor}")
         check_epsilon(self.quantizer_epsilon)
-        if self.n_source < 1 or self.n_target < 1:
-            raise ConfigError("n_source and n_target must be >= 1")
-        if self.n_adapt < 1 or self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
-            raise ConfigError(
-                f"need n_adapt + n_test <= n_target, got {self.n_adapt}+{self.n_test} > {self.n_target}"
-            )
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"hidden_dims entries must be >= 1, got {self.hidden_dims}")
         if self.scale_factor != 1.0:
@@ -151,7 +160,7 @@ class ExperimentConfig:
         elif "meta" in self.algorithms:
             tasks = self.meta_tasks
             needed = tasks.n_tasks * tasks.samples_per_task
-            pooled = self.n_source * len(self.source_envs)  # each source env contributes n_source
+            pooled = self.sizes.n_source * len(self.environments.source)  # each source env contributes n_source
             if needed > pooled:
                 raise ConfigError(
                     f"meta_tasks need {needed} source samples ({tasks.n_tasks} x "
@@ -163,32 +172,11 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        doc: dict = {}
-        for name, value in encode(self).items():
-            group, key = JSON_GROUPS.get(name, (None, name))
-            (doc.setdefault(group, {}) if group else doc)[key] = value
-        return doc
+        return encode(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        try:
-            flat = dict(d)
-            groups = {group: flat.pop(group) for group in {g for g, _ in JSON_GROUPS.values()}}
-            unknown = sorted(flat.keys() & JSON_GROUPS.keys())  # grouped fields are unknown at the top
-            unknown += sorted(f"{g}.{k}" for g in groups for k in groups[g] if (g, k) not in JSON_GROUPS.values())
-            if unknown:
-                raise ConfigError(f"config: unknown fields {unknown}")
-            for name, (group, key) in JSON_GROUPS.items():
-                flat[name] = groups[group][key]
-            return decode(cls, flat, "config")
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"bad config structure: {exc}") from exc
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return decode(cls, d, "config")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -198,7 +186,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _default_envs(seed: int) -> tuple[list[EnvironmentSpec], list[EnvironmentSpec]]:
+def _default_envs(seed: int) -> Environments:
     def env(env_id: int) -> EnvironmentSpec:
         return EnvironmentSpec(
             env_id=env_id,
@@ -208,20 +196,15 @@ def _default_envs(seed: int) -> tuple[list[EnvironmentSpec], list[EnvironmentSpe
             seed=seed * 1000 + env_id,
         )
 
-    return [env(1)], [env(2), env(3)]
+    return Environments(source=[env(1)], targets=[env(2), env(3)])
 
 
 def paper_profile(seed: int = 0) -> ExperimentConfig:
     """Full-size configuration: one 40k-sample source, two 5k-sample targets."""
-    source, targets = _default_envs(seed)
     return ExperimentConfig(
         ofdm=OfdmConfig(),
-        source_envs=source,
-        target_envs=targets,
-        n_source=40000,
-        n_target=5000,
-        n_adapt=1000,
-        n_test=4000,
+        environments=_default_envs(seed),
+        sizes=Sizes(n_source=40000, n_target=5000, n_adapt=1000, n_test=4000),
         snr_list_db=[0.0, 10.0, 20.0, 30.0, 40.0],
         train_snr_db=20.0,
         algorithms=["direct", "joint", "dtl", "meta"],
@@ -243,15 +226,10 @@ def paper_profile(seed: int = 0) -> ExperimentConfig:
 
 def desk_profile(seed: int = 0) -> ExperimentConfig:
     """Shrunk configuration for interactive checks and CI (same structure)."""
-    source, targets = _default_envs(seed)
     return ExperimentConfig(
         ofdm=OfdmConfig(),
-        source_envs=source,
-        target_envs=targets,
-        n_source=4000,
-        n_target=1000,
-        n_adapt=500,
-        n_test=500,
+        environments=_default_envs(seed),
+        sizes=Sizes(n_source=4000, n_target=1000, n_adapt=500, n_test=500),
         snr_list_db=[20.0],
         train_snr_db=20.0,
         algorithms=["direct", "joint", "dtl", "meta"],
@@ -279,10 +257,7 @@ def apply_scale(cfg: ExperimentConfig) -> ExperimentConfig:
     shrink = lambda v, floor=1: max(floor, int(round(v * s)))
     return replace(
         cfg,
-        n_source=shrink(cfg.n_source),
-        n_target=shrink(cfg.n_target),
-        n_adapt=shrink(cfg.n_adapt),
-        n_test=shrink(cfg.n_test),
+        sizes=Sizes(*map(shrink, astuple(cfg.sizes))),
         hidden_dims=[shrink(h, floor=8) for h in cfg.hidden_dims],
         meta_tasks=replace(cfg.meta_tasks, n_tasks=shrink(cfg.meta_tasks.n_tasks)),
         scale_factor=1.0,
@@ -440,53 +415,44 @@ class _TargetData:
     test_pairs: dict[float, PairSet]
 
 
-def _feature_pairs(ds: EnvironmentDataset, alice: Normalizer, bob: Normalizer) -> PairSet:
-    return PairSet(
-        inputs=normalize(alice, complex_to_features(ds.h_ul)),
-        targets=normalize(bob, complex_to_features(ds.h_dl)),
-    )
+def _features(ds: EnvironmentDataset) -> tuple[np.ndarray, np.ndarray]:
+    return complex_to_features(ds.h_ul), complex_to_features(ds.h_dl)
+
+
+def _feature_pairs(ul: np.ndarray, dl: np.ndarray, alice: Normalizer, bob: Normalizer) -> PairSet:
+    return PairSet(inputs=normalize(alice, ul), targets=normalize(bob, dl))
 
 
 def _data_fields(cfg: ExperimentConfig) -> tuple:
     """Every config field that ``_prepare_data`` reads (keep the two in step):
     configs with equal fields get identical data."""
-    return (
-        cfg.ofdm,
-        cfg.source_envs,
-        cfg.target_envs,
-        (cfg.n_source, cfg.n_target, cfg.n_adapt, cfg.n_test),
-        cfg.snr_list_db,
-        cfg.train_snr_db,
-    )
+    return cfg.ofdm, cfg.environments, cfg.sizes, cfg.snr_list_db, cfg.train_snr_db
 
 
 def _source_features(spec: EnvironmentSpec, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Uplink and downlink features of one source environment (its dataset is freed on return)."""
-    ds = generate_env_dataset(build_environment(spec), cfg.n_source, cfg.train_snr_db, cfg.ofdm)
-    return complex_to_features(ds.h_ul), complex_to_features(ds.h_dl)
+    return _features(generate_env_dataset(build_environment(spec), cfg.sizes.n_source, cfg.train_snr_db, cfg.ofdm))
 
 
 def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
-    ul_parts, dl_parts = zip(*(_source_features(spec, cfg) for spec in cfg.source_envs))
+    ul_parts, dl_parts = zip(*(_source_features(spec, cfg) for spec in cfg.environments.source))
     src_ul = ul_parts[0] if len(ul_parts) == 1 else np.concatenate(ul_parts)
     src_dl = dl_parts[0] if len(dl_parts) == 1 else np.concatenate(dl_parts)
     del ul_parts, dl_parts  # with several source envs, keep only the pooled copies
-    alice_src = fit_normalizer(src_ul)
-    bob_src = fit_normalizer(src_dl)
-    source_pairs = PairSet(inputs=normalize(alice_src, src_ul), targets=normalize(bob_src, src_dl))
+    source_pairs = _feature_pairs(src_ul, src_dl, fit_normalizer(src_ul), fit_normalizer(src_dl))
 
     targets = []
-    test_start = cfg.n_target - cfg.n_test
-    for spec in cfg.target_envs:
+    sizes = cfg.sizes
+    test_start = sizes.n_target - sizes.n_test
+    for spec in cfg.environments.targets:
         env = build_environment(spec)
-        adapt_ds = generate_env_dataset(env, cfg.n_adapt, cfg.train_snr_db, cfg.ofdm)
-        alice_t = fit_normalizer(complex_to_features(adapt_ds.h_ul))
-        bob_t = fit_normalizer(complex_to_features(adapt_ds.h_dl))
-        adapt_pairs = _feature_pairs(adapt_ds, alice_t, bob_t)
+        adapt_ul, adapt_dl = _features(generate_env_dataset(env, sizes.n_adapt, cfg.train_snr_db, cfg.ofdm))
+        alice_t, bob_t = fit_normalizer(adapt_ul), fit_normalizer(adapt_dl)
+        adapt_pairs = _feature_pairs(adapt_ul, adapt_dl, alice_t, bob_t)
         test_pairs = {}
         for snr in cfg.snr_list_db:
-            test_ds = generate_env_dataset(env, cfg.n_test, snr, cfg.ofdm, start_index=test_start)
-            test_pairs[snr] = _feature_pairs(test_ds, alice_t, bob_t)
+            test_ds = generate_env_dataset(env, sizes.n_test, snr, cfg.ofdm, start_index=test_start)
+            test_pairs[snr] = _feature_pairs(*_features(test_ds), alice_t, bob_t)
         targets.append(_TargetData(spec=spec, adapt_pairs=adapt_pairs, test_pairs=test_pairs))
     return source_pairs, targets
 
@@ -674,23 +640,22 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_AXES = ("snr", "n_ad", "g_ad", "g_tr", "e_batch")
+# integer sweep axis -> the (config section, field) it sets
+SWEEP_FIELDS = {
+    "n_ad": ("sizes", "n_adapt"),
+    "g_ad": ("meta", "adapt_steps"),
+    "g_tr": ("meta", "inner_steps"),
+    "e_batch": ("meta", "task_batch"),
+}
+SWEEP_AXES = ("snr", *SWEEP_FIELDS)
 
 
 def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
     """``cfg`` with the integer ``axis`` set to ``value``, which must be a whole number."""
     if not float(value).is_integer():  # also rejects NaN and +-inf
         raise ConfigError(f"sweep axis {axis} takes whole numbers, got {value}")
-    n = int(value)
-    if axis == "n_ad":
-        return replace(cfg, n_adapt=n)
-    if axis == "g_ad":
-        return replace(cfg, meta=replace(cfg.meta, adapt_steps=n))
-    if axis == "g_tr":
-        return replace(cfg, meta=replace(cfg.meta, inner_steps=n))
-    if axis == "e_batch":
-        return replace(cfg, meta=replace(cfg.meta, task_batch=n))
-    raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    section, name = SWEEP_FIELDS[axis]
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{name: int(value)})})
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentReport:
@@ -713,9 +678,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
             rows=[replace(r, axis="snr", axis_value=r.snr_db) for r in report.rows],
             randomness=[replace(r, axis="snr", axis_value=r.snr_db) for r in report.randomness],
         )
-    if axis not in SWEEP_AXES:
+    if axis not in SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    configs = [apply_scale(_with_axis(cfg, axis, value)) for value in values]  # validate every value first
+    # scaled first, so that each value is used as given; every value is validated before any work
+    configs = [_with_axis(apply_scale(cfg), axis, value) for value in values]
     # consecutive values with the same data share it and one chain queue; a group's data is freed before the next
     groups = itertools.groupby(configs, _shared_fields)
     reports = [report for _, group in groups for report in _run_group(list(group))]

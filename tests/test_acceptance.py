@@ -29,6 +29,7 @@ from fdkg.neuralnet import (
     sgd_step,
 )
 from fdkg.pipeline import (
+    Sizes,
     apply_scale,
     desk_profile,
     emit_report,
@@ -189,7 +190,11 @@ def test_criterion_3_maml_mechanics():
     # meta-iterations on the desk profile
     cfg_desk = apply_scale(desk_profile(seed=0))
     source_pairs, _ = _prepare_data(
-        replace(cfg_desk, target_envs=cfg_desk.target_envs[:1], n_target=2, n_adapt=1, n_test=1)
+        replace(
+            cfg_desk,
+            environments=replace(cfg_desk.environments, targets=cfg_desk.environments.targets[:1]),
+            sizes=replace(cfg_desk.sizes, n_target=2, n_adapt=1, n_test=1),
+        )
     )
     dims = [128, *cfg_desk.hidden_dims, 128]
     task_set = partition_source_into_tasks(source_pairs, 40, 100, 0.5, seed=101)
@@ -243,10 +248,7 @@ def test_criterion_5_reciprocity_sanity():
         snr_list_db=[math.inf],
         train_snr_db=math.inf,
         algorithms=["identity"],
-        n_source=64,
-        n_target=64,
-        n_adapt=32,
-        n_test=32,
+        sizes=Sizes(n_source=64, n_target=64, n_adapt=32, n_test=32),
         record_wall_time=False,
     )
     report = run_pipeline(cfg)
@@ -282,7 +284,7 @@ def test_criterion_7_hyperparameter_robustness():
         return replace(
             cfg,
             algorithms=["meta"],
-            target_envs=cfg.target_envs[:1],
+            environments=replace(cfg.environments, targets=cfg.environments.targets[:1]),
             record_wall_time=False,
         )
 

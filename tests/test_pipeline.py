@@ -5,6 +5,7 @@ import os
 import struct
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from fdkg.model_io import load_model, save_model
 from fdkg.neuralnet import TrainConfig, forward, init_network
 from fdkg.pipeline import (
     CSV_COLUMNS,
+    Environments,
     ExperimentConfig,
     ExperimentReport,
+    Sizes,
     TaskSplitConfig,
     _with_axis,
     apply_scale,
@@ -47,12 +50,8 @@ def mini_config(
 
     cfg = ExperimentConfig(
         ofdm=OfdmConfig(f_ul_hz=2.4e9, f_dl_hz=f_dl, n_subcarriers=16),
-        source_envs=[env(1)],
-        target_envs=[env(2)],
-        n_source=120,
-        n_target=48,
-        n_adapt=24,
-        n_test=24,
+        environments=Environments(source=[env(1)], targets=[env(2)]),
+        sizes=Sizes(n_source=120, n_target=48, n_adapt=24, n_test=24),
         snr_list_db=[snr],
         train_snr_db=snr,
         algorithms=algorithms or ["identity"],
@@ -74,7 +73,7 @@ class TestConfig:
 
     def test_inconsistent_split_sizes(self):
         with pytest.raises(ConfigError):
-            mini_config(n_adapt=40, n_test=40)  # exceeds n_target=48
+            mini_config(sizes=Sizes(n_source=120, n_target=48, n_adapt=40, n_test=40))  # 40 + 40 > 48
 
     def test_bad_epsilon(self):
         with pytest.raises(ConfigError):
@@ -82,7 +81,8 @@ class TestConfig:
 
     def test_json_roundtrip(self, tmp_path):
         mini = mini_config(algorithms=["meta"])  # +inf SNRs, two source environments
-        mini = replace(mini, source_envs=[*mini.source_envs, replace(mini.source_envs[0], env_id=5)])
+        source = mini.environments.source
+        mini = replace(mini, environments=replace(mini.environments, source=[*source, replace(source[0], env_id=5)]))
         for cfg in (desk_profile(seed=3), paper_profile(seed=1), mini):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(cfg.to_dict()))
@@ -99,10 +99,15 @@ class TestConfig:
         assert list(doc["sizes"]) == ["n_source", "n_target", "n_adapt", "n_test"]
         assert doc["environments"]["source"][0]["n_paths_range"] == [48, 64]
 
+    @pytest.mark.parametrize("profile, seed", [(desk_profile, 0), (paper_profile, 1)])
+    def test_profile_json_matches_golden_file(self, profile, seed):
+        golden = Path(__file__).parent / "golden" / f"{profile.__name__}_seed{seed}.json"
+        assert json.dumps(profile(seed).to_dict(), indent=2) + "\n" == golden.read_text()
+
     def test_from_dict_unknown_group_key(self):
         doc = desk_profile().to_dict()
         doc["sizes"]["n_tset"] = 5
-        with pytest.raises(ConfigError, match="sizes.n_tset"):
+        with pytest.raises(ConfigError, match=r"config\.sizes: unknown fields \['n_tset'\]"):
             ExperimentConfig.from_dict(doc)
 
     def test_from_json_missing_field(self, tmp_path):
@@ -122,8 +127,8 @@ class TestConfig:
     def test_scale_factor(self):
         cfg = replace(paper_profile(), scale_factor=0.1)
         scaled = apply_scale(cfg)
-        assert scaled.n_source == 4000
-        assert scaled.n_target == 500
+        assert scaled.sizes.n_source == 4000
+        assert scaled.sizes.n_target == 500
         assert scaled.hidden_dims == [51, 102, 102, 51]
         assert scaled.meta_tasks.n_tasks == 40
         assert scaled.scale_factor == 1.0
@@ -142,18 +147,20 @@ class TestConfig:
 
     def test_meta_task_feasibility_counts_every_source_env(self):
         cfg = mini_config(algorithms=["meta"])
-        two_envs = [cfg.source_envs[0], replace(cfg.source_envs[0], env_id=3, seed=cfg.source_envs[0].seed + 1)]
+        (source,) = cfg.environments.source
+        two_envs = replace(cfg.environments, source=[source, replace(source, env_id=3, seed=source.seed + 1)])
         # 7 x 20 = 140 samples exceed n_source 120 but fit the pooled 2 x 120
-        replace(cfg, source_envs=two_envs, meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
+        replace(cfg, environments=two_envs, meta_tasks=TaskSplitConfig(n_tasks=7, samples_per_task=20))
         with pytest.raises(ConfigError):  # 13 x 20 = 260 > 240
-            replace(cfg, source_envs=two_envs, meta_tasks=TaskSplitConfig(n_tasks=13, samples_per_task=20))
+            replace(cfg, environments=two_envs, meta_tasks=TaskSplitConfig(n_tasks=13, samples_per_task=20))
 
     def test_duplicate_target_env_ids_rejected(self):
         cfg = mini_config(algorithms=["meta"])
-        twin = replace(cfg.target_envs[0], seed=cfg.target_envs[0].seed + 7)  # same env_id
+        (target,) = cfg.environments.targets
+        twin = replace(target, seed=target.seed + 7)  # same env_id
         with pytest.raises(ConfigError, match="distinct env_ids"):
-            replace(cfg, target_envs=[cfg.target_envs[0], twin])
-        replace(cfg, target_envs=[cfg.target_envs[0], replace(twin, env_id=3)])
+            replace(cfg.environments, targets=[target, twin])
+        replace(cfg.environments, targets=[target, replace(twin, env_id=3)])
 
     def test_meta_task_feasibility_rechecked_after_scaling(self):
         cfg = mini_config(algorithms=["meta"])
@@ -187,8 +194,8 @@ class TestConfig:
             TaskSplitConfig(**{"n_tasks": 4, "samples_per_task": 20, **split})
 
     def test_profiles_validate(self):
-        assert desk_profile().n_source == 4000
-        assert paper_profile().n_source == 40000
+        assert desk_profile().sizes.n_source == 4000
+        assert paper_profile().sizes.n_source == 40000
 
 
 class TestNmse:
@@ -257,8 +264,9 @@ class TestDeterminismAndCells:
 
 def two_target_config() -> ExperimentConfig:
     cfg = mini_config(algorithms=["identity", "direct", "joint", "dtl", "meta"])
-    second = replace(cfg.target_envs[0], env_id=3, seed=cfg.target_envs[0].seed + 1)
-    return replace(cfg, target_envs=[cfg.target_envs[0], second])
+    (target,) = cfg.environments.targets
+    second = replace(target, env_id=3, seed=target.seed + 1)
+    return replace(cfg, environments=replace(cfg.environments, targets=[target, second]))
 
 
 class TestModelChains:
@@ -590,6 +598,12 @@ class TestSweep:
         sweep(mini_config(snr=20.0, algorithms=["dtl"]), "n_ad", [12, 24])
         assert calls == [120, 12, 24, 120, 24, 24]
 
+    def test_scaled_n_ad_axis_uses_each_value_as_given(self, monkeypatch):
+        calls = self.count_synthesis(monkeypatch)
+        report = sweep(mini_config(snr=20.0, algorithms=["dtl"], scale_factor=0.5), "n_ad", [10])
+        assert calls == [60, 10, 12]  # half the source and test sets, and 10 adaptation samples
+        assert {r.axis_value for r in report.rows} == {10.0}
+
 
 class TestModelIO:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -644,6 +658,14 @@ class TestModelIO:
         save_model(net, norm, path)
         size = path.stat().st_size
         assert 25.6e6 / 2 <= size <= 25.6e6 * 2
+
+    def test_linear_output_network_not_saved(self, tmp_path):
+        net = init_network([8, 12, 8], seed=4, output_activation="linear")
+        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
+        path = tmp_path / "m.fdkg"
+        with pytest.raises(ValueError, match="sigmoid"):
+            save_model(net, norm, path)
+        assert not path.exists()
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         net = init_network([8, 12, 8], seed=4)
