@@ -47,15 +47,12 @@ class OfdmConfig:
     f_ul_hz: float = 2.4e9
     f_dl_hz: float = 2.5e9
     n_subcarriers: int = 64
-    bandwidth_hz: float = 20e6
 
     def __post_init__(self) -> None:
         if self.n_subcarriers <= 0:
             raise ConfigError(f"n_subcarriers must be positive, got {self.n_subcarriers}")
         if self.f_ul_hz <= 0 or self.f_dl_hz <= 0:
             raise ConfigError("carrier frequencies must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)

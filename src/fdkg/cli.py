@@ -47,7 +47,7 @@ def _guarded(fn):
     except FormatError as exc:
         click.echo(f"format error: {exc}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    except (FloatingPointError, ZeroDivisionError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NumericError, FloatingPointError, ZeroDivisionError
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(EXIT_NUMERIC_ERROR)
 

@@ -9,3 +9,7 @@ class ConfigError(ValueError):
 
 class FormatError(ValueError):
     """Malformed or truncated binary file (bad magic, version, or length)."""
+
+
+class NumericError(ArithmeticError):
+    """The data drove a computation to a value it cannot use (non-finite or degenerate)."""

@@ -16,7 +16,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, NumericError
 
 SIGMA_FLOOR = 1e-12
 
@@ -43,7 +43,7 @@ def quantize_guardband(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nd
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("need at least 2 feature values to fit a quantizer")
     if not np.all(np.isfinite(x)):
-        raise ValueError("feature vectors must be finite")
+        raise NumericError("feature vectors must be finite")
     mu = np.mean(x, axis=-1, keepdims=True)
     sigma = np.std(x, axis=-1, keepdims=True)
     quantile = NormalDist().inv_cdf

@@ -148,12 +148,10 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
     max_iterations: int = 10000
-    seed: int = 0
-    eval_interval: int = 25
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0 or self.learning_rate <= 0 or self.eval_interval <= 0:
-            raise ConfigError("batch_size, learning_rate and eval_interval must be positive")
+        if self.batch_size <= 0 or self.learning_rate <= 0:
+            raise ConfigError("batch_size and learning_rate must be positive")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
 

@@ -42,7 +42,7 @@ from .channel_sim import (
     generate_env_dataset,
 )
 from .codec import decode, encode
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .features import Normalizer, complex_to_features, fit_normalizer, normalize
 from .keygen import check_epsilon, quantize_guardband
 from .neuralnet import NetworkParams, TrainConfig, forward, init_network
@@ -99,7 +99,7 @@ class Environments:
 @dataclass(frozen=True)
 class Sizes:
     """Samples per source and per target environment; a target's first ``n_adapt``
-    samples adapt the networks and its last ``n_test`` test them."""
+    samples fit its normalizers and adapt the networks, and its last ``n_test`` test them."""
 
     n_source: int
     n_target: int
@@ -109,7 +109,9 @@ class Sizes:
     def __post_init__(self) -> None:
         if self.n_source < 1 or self.n_target < 1:
             raise ConfigError("n_source and n_target must be >= 1")
-        if self.n_adapt < 1 or self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
+        if self.n_adapt < 2:  # one sample gives every feature a zero-range normalizer
+            raise ConfigError(f"n_adapt must be >= 2 after scale_factor is applied, got {self.n_adapt}")
+        if self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
             raise ConfigError(
                 f"need n_adapt + n_test <= n_target, got {self.n_adapt}+{self.n_test} > {self.n_target}"
             )
@@ -210,7 +212,7 @@ def paper_profile(seed: int = 0) -> ExperimentConfig:
         algorithms=["direct", "joint", "dtl", "meta"],
         quantizer_epsilon=0.1,
         hidden_dims=[512, 1024, 1024, 512],
-        train=TrainConfig(batch_size=128, learning_rate=1e-3, max_iterations=20000, seed=seed),
+        train=TrainConfig(batch_size=128, learning_rate=1e-3, max_iterations=20000),
         meta=MetaConfig(
             inner_lr=1e-3,
             outer_lr=1e-3,
@@ -225,27 +227,17 @@ def paper_profile(seed: int = 0) -> ExperimentConfig:
 
 
 def desk_profile(seed: int = 0) -> ExperimentConfig:
-    """Shrunk configuration for interactive checks and CI (same structure)."""
-    return ExperimentConfig(
-        ofdm=OfdmConfig(),
-        environments=_default_envs(seed),
+    """The paper profile shrunk for interactive checks and CI: smaller sizes, hidden
+    widths, iteration caps and task count, and one test SNR."""
+    paper = paper_profile(seed)
+    return replace(
+        paper,
         sizes=Sizes(n_source=4000, n_target=1000, n_adapt=500, n_test=500),
         snr_list_db=[20.0],
-        train_snr_db=20.0,
-        algorithms=["direct", "joint", "dtl", "meta"],
-        quantizer_epsilon=0.1,
         hidden_dims=[128, 256, 256, 128],
-        train=TrainConfig(batch_size=128, learning_rate=1e-3, max_iterations=4000, seed=seed),
-        meta=MetaConfig(
-            inner_lr=1e-3,
-            outer_lr=1e-3,
-            inner_steps=1,
-            task_batch=32,
-            adapt_steps=300,
-            max_meta_iterations=120,
-        ),
-        meta_tasks=TaskSplitConfig(n_tasks=40, samples_per_task=100, support_fraction=0.5),
-        seed=seed,
+        train=replace(paper.train, max_iterations=4000),
+        meta=replace(paper.meta, max_meta_iterations=120),
+        meta_tasks=replace(paper.meta_tasks, n_tasks=40),
     )
 
 
@@ -359,7 +351,7 @@ def nmse(
     keep = norms >= NMSE_DEGENERATE_FLOOR
     n_excluded = int(np.count_nonzero(~keep))
     if not np.any(keep):
-        raise ValueError("all samples have degenerate target norms")
+        raise NumericError("all samples have degenerate target norms")
     err = np.sum((predicted[keep] - actual[keep]) ** 2, axis=1)
     value = float(np.mean(err / norms[keep]))
     return (value, n_excluded) if return_excluded else value
@@ -514,7 +506,7 @@ def _model_chains(
 
     def pretrain_chain():
         t0 = clock()
-        pretrained = train_supervised(init, source_pairs, cfg.train)
+        pretrained = train_supervised(init, source_pairs, cfg.train, seed=cfg.seed)
         elapsed = clock() - t0
         direct = targets if "direct" in algorithms else []
         cells = [cell for target in direct for cell in score("direct", target, pretrained, elapsed)]
@@ -524,7 +516,7 @@ def _model_chains(
 
     def joint_chain(target: _TargetData):
         t0 = clock()
-        net = train_supervised(init, PairSet.concat([source_pairs, target.adapt_pairs]), cfg.train)
+        net = train_supervised(init, PairSet.concat([source_pairs, target.adapt_pairs]), cfg.train, seed=cfg.seed)
         return score("joint", target, net, clock() - t0)
 
     def meta_chain():

@@ -154,7 +154,7 @@ def block_frequency_test(s, block_len: int = 8) -> TestResult:
     if block_len < 1:
         raise ValueError(f"block_len must be >= 1, got {block_len}")
     if block_len > n:
-        raise ValueError(f"block_len {block_len} exceeds stream length {n}")
+        return _not_applicable("block_frequency", f"block_len exceeds stream length {n}", block_len=block_len)
     n_blocks = n // block_len
     pi = bits[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
     chi2 = 4.0 * block_len * float(np.sum((pi - 0.5) ** 2))
@@ -167,7 +167,8 @@ def runs_test(s) -> TestResult:
     bits = as_bits(s)
     n = bits.size
     pi = float(np.mean(bits))
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    # below n = 16 the bound 2/sqrt(n) exceeds 1/2, so alone it would pass a constant stream (and divide by 0)
+    if abs(pi - 0.5) >= min(2.0 / math.sqrt(n), 0.5):
         return _not_applicable("runs", "ones fraction fails the frequency prerequisite")
     v_n = 1 + int(np.count_nonzero(bits[1:] != bits[:-1]))
     num = abs(v_n - 2.0 * n * pi * (1.0 - pi))

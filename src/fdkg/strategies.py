@@ -12,9 +12,10 @@ Four ways to obtain band-mapping network parameters for a new environment:
   initialization with ADAM on the first-order meta-gradient (query-loss
   gradients at the adapted parameters, averaged over the task batch).
 
-Supervised training stops early once the smoothed loss improves by less than
-1e-4 relative over a 20-evaluation window.  Everything is deterministic for
-fixed seeds: batch orders come from seeded shuffles.
+Supervised training and meta-training stop early once their loss (in
+supervised training the mean of each 25 steps) improves by less than 1e-4
+relative over 20 evaluations.  Everything is deterministic for fixed seeds:
+batch orders come from seeded shuffles.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ from .neuralnet import (
     sgd_step,
 )
 
+EVAL_INTERVAL = 25
 PLATEAU_WINDOW = 20
 PLATEAU_REL_TOL = 1e-4
+ADAPT_BATCH_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,6 @@ class MetaConfig:
     task_batch: int = 32
     adapt_steps: int = 300
     max_meta_iterations: int = 200
-    adapt_batch_size: int = 128
 
     def __post_init__(self) -> None:
         if self.inner_lr < 0 or self.outer_lr <= 0:
@@ -97,8 +99,6 @@ class MetaConfig:
             raise ConfigError("inner_steps must be >= 1")
         if self.task_batch < 1 or self.adapt_steps < 0 or self.max_meta_iterations < 1:
             raise ConfigError("task_batch, adapt_steps, max_meta_iterations out of range")
-        if self.adapt_batch_size < 1:
-            raise ConfigError("adapt_batch_size must be >= 1")
 
 
 def _plateaued(history: list[float]) -> bool:
@@ -135,22 +135,24 @@ def train_supervised(
     init: NetworkParams,
     data: PairSet,
     cfg: TrainConfig,
+    seed: int = 0,
     loss_history: list[float] | None = None,
 ) -> NetworkParams:
-    """Minibatch ADAM until the loss plateaus or max_iterations is reached.
+    """Minibatch ADAM until the loss plateaus or max_iterations is reached;
+    ``seed`` drives the minibatch shuffles.
 
     The plateau check compares smoothed minibatch losses (one evaluation per
-    ``cfg.eval_interval`` steps) across a 20-evaluation window.
+    ``EVAL_INTERVAL`` steps) across a ``PLATEAU_WINDOW``-evaluation window.
     """
     net = init.copy()  # adam_step updates it in place
     state, work = init_adam_state(net), Workspace(net, min(cfg.batch_size, data.n))
     evals: list[float] = []
     recent: list[float] = []
-    for loss in _adam_losses(net, data, cfg.max_iterations, cfg.learning_rate, cfg.seed, state, work):
+    for loss in _adam_losses(net, data, cfg.max_iterations, cfg.learning_rate, seed, state, work):
         recent.append(loss)
         if loss_history is not None:
             loss_history.append(loss)
-        if len(recent) == cfg.eval_interval:
+        if len(recent) == EVAL_INTERVAL:
             evals.append(float(np.mean(recent)))
             recent.clear()
             if _plateaued(evals):
@@ -165,9 +167,10 @@ def adapt(
     seed: int = 0,
     loss_history: list[float] | None = None,
 ) -> NetworkParams:
-    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates."""
+    """Fine-tune a copy of the pretrained parameters with adapt_steps ADAM updates
+    over ``ADAPT_BATCH_SIZE``-row minibatches."""
     net = pretrained.copy()  # adam_step updates it in place
-    state, work = init_adam_state(net), Workspace(net, min(cfg.adapt_batch_size, adapt_set.n))
+    state, work = init_adam_state(net), Workspace(net, min(ADAPT_BATCH_SIZE, adapt_set.n))
     for loss in _adam_losses(net, adapt_set, cfg.adapt_steps, cfg.outer_lr, seed, state, work):
         if loss_history is not None:
             loss_history.append(loss)

@@ -193,7 +193,7 @@ def test_criterion_3_maml_mechanics():
         replace(
             cfg_desk,
             environments=replace(cfg_desk.environments, targets=cfg_desk.environments.targets[:1]),
-            sizes=replace(cfg_desk.sizes, n_target=2, n_adapt=1, n_test=1),
+            sizes=replace(cfg_desk.sizes, n_target=3, n_adapt=2, n_test=1),
         )
     )
     dims = [128, *cfg_desk.hidden_dims, 128]

@@ -15,7 +15,7 @@ from fdkg.features import fit_normalizer
 from fdkg.keygen import write_key_dump
 from fdkg.model_io import MODEL_MAGIC, save_model
 from fdkg.neuralnet import init_network
-from fdkg.pipeline import ExperimentConfig, desk_profile
+from fdkg.pipeline import KNOWN_ALGORITHMS, ExperimentConfig, desk_profile
 
 from test_pipeline import mini_config
 
@@ -99,6 +99,9 @@ def forbid_work(monkeypatch):
         lambda d: d["meta_tasks"].update(support_fraction=1.0),
         # scaling once lifted n_tasks 0 to 1
         lambda d: (d.update(scale_factor=0.5), d["meta_tasks"].update(n_tasks=0), d["meta"].update(task_batch=1)),
+        # one adaptation sample gives every target a zero-range normalizer
+        lambda d: d["sizes"].update(n_adapt=1),
+        lambda d: (d.update(scale_factor=0.05, algorithms=["direct"]), d["sizes"].update(n_adapt=20)),
     ],
     ids=[
         "zero_batch_size",
@@ -116,6 +119,8 @@ def forbid_work(monkeypatch):
         "duplicate_test_snr",
         "support_fraction_one",
         "zero_meta_tasks_scaled",
+        "one_adaptation_sample",
+        "one_adaptation_sample_scaled",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -202,6 +207,43 @@ def test_run_rejects_a_config_broken_in_one_place_before_any_work(tmp_path, monk
     assert called == []
 
 
+@st.composite
+def tiny_configs(draw):
+    """A tiny config document: at most 8 samples per set, one 8-wide hidden layer and at
+    most 5 steps per training.  Its values may still conflict, and the CLI must then exit 2."""
+    n_adapt, n_test = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    doc = mini_config(hidden_dims=[8]).to_dict()
+    doc.update(
+        scale_factor=draw(st.just(1.0) | st.floats(0.05, 1.0)),  # most scaled draws fail the size checks
+        algorithms=draw(st.lists(st.sampled_from(KNOWN_ALGORITHMS), min_size=1, unique=True)),
+        snr_list_db=draw(st.lists(st.sampled_from([0.0, 20.0, math.inf]), min_size=1, unique=True)),
+        compute_randomness=draw(st.booleans()),
+    )
+    n_target = draw(st.integers(n_adapt + n_test, 8))
+    doc["sizes"] = dict(n_source=draw(st.integers(1, 8)), n_target=n_target, n_adapt=n_adapt, n_test=n_test)
+    doc["train"].update(batch_size=draw(st.integers(1, 8)), max_iterations=draw(st.integers(0, 5)))
+    doc["meta"].update(
+        inner_steps=draw(st.integers(1, 2)),
+        task_batch=draw(st.integers(1, 3)),
+        adapt_steps=draw(st.integers(0, 5)),
+        max_meta_iterations=draw(st.integers(1, 5)),
+    )
+    doc["meta_tasks"].update(n_tasks=draw(st.integers(1, 4)), samples_per_task=draw(st.integers(2, 4)))
+    return doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=tiny_configs())
+@example(  # one adaptation sample once ended in a traceback after synthesis
+    doc=dict(mini_config(hidden_dims=[8]).to_dict(), sizes=dict(n_source=4, n_target=2, n_adapt=1, n_test=1))
+)
+def test_run_exits_0_2_or_3_on_any_tiny_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    result = invoke("run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert result.exit_code in (0, 2, 3), (doc, result.output, result.exception)
+
+
 def test_run_numeric_failure_in_a_concurrent_chain_exits_3(tmp_path, monkeypatch):
     import fdkg.pipeline as pipeline
 
@@ -214,6 +256,15 @@ def test_run_numeric_failure_in_a_concurrent_chain_exits_3(tmp_path, monkeypatch
     result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
     assert result.exit_code == 3, result.output
     assert "numeric failure" in result.output
+
+
+def test_run_non_finite_predictions_exit_3(tmp_path, monkeypatch):
+    import fdkg.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "forward", lambda net, inputs: np.full_like(inputs, np.nan))
+    result = invoke("run", "--config", str(write_mini_config(tmp_path)), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 3, result.output
+    assert "numeric failure: feature vectors must be finite" in result.output
 
 
 def test_run_config_with_seed_flag_conflicts(tmp_path):
@@ -250,7 +301,7 @@ def test_sweep_integer_axis_rejects_non_whole_values_before_any_work(tmp_path, m
     cfg_path = write_mini_config(tmp_path)
     out = tmp_path / "out"
     result = invoke(
-        "sweep", "--axis", axis, "--values", f"1,{value}", "--config", str(cfg_path), "--out", str(out)
+        "sweep", "--axis", axis, "--values", f"2,{value}", "--config", str(cfg_path), "--out", str(out)
     )
     assert result.exit_code == 2, result.output
     assert "whole numbers" in result.output
@@ -266,6 +317,17 @@ def test_sweep_duplicate_values_exit_2_before_any_work(tmp_path, monkeypatch, ax
     result = invoke("sweep", "--axis", axis, "--values", values, "--config", str(cfg_path), "--out", str(out))
     assert result.exit_code == 2, result.output
     assert "distinct" in result.output
+    assert called == []
+    assert not out.exists()
+
+
+def test_sweep_n_ad_value_below_two_exits_2_before_any_work(tmp_path, monkeypatch):
+    called = forbid_work(monkeypatch)
+    cfg_path = write_mini_config(tmp_path)
+    out = tmp_path / "out"
+    result = invoke("sweep", "--axis", "n_ad", "--values", "12,1", "--config", str(cfg_path), "--out", str(out))
+    assert result.exit_code == 2, result.output
+    assert "n_adapt must be >= 2" in result.output
     assert called == []
     assert not out.exists()
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdkg.channel_sim import EnvironmentSpec, OfdmConfig
-from fdkg.errors import ConfigError, FormatError
+from fdkg.errors import ConfigError, FormatError, NumericError
 from fdkg.features import Normalizer, fit_normalizer
 from fdkg.model_io import load_model, save_model
 from fdkg.neuralnet import TrainConfig, forward, init_network
@@ -57,7 +57,7 @@ def mini_config(
         algorithms=algorithms or ["identity"],
         quantizer_epsilon=0.1,
         hidden_dims=[24, 24],
-        train=TrainConfig(batch_size=16, max_iterations=40, seed=seed),
+        train=TrainConfig(batch_size=16, max_iterations=40),
         meta=MetaConfig(task_batch=2, adapt_steps=10, max_meta_iterations=3),
         meta_tasks=TaskSplitConfig(n_tasks=4, samples_per_task=20),
         seed=seed,
@@ -217,7 +217,7 @@ class TestNmse:
         assert value == 0.0 and excluded == 1
 
     def test_all_degenerate_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             nmse(np.ones((2, 3)), np.zeros((2, 3)))
 
 

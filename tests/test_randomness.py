@@ -97,7 +97,9 @@ class TestBlockFrequency:
 
     def test_block_len_errors(self):
         with pytest.raises(ValueError):
-            block_frequency_test("0101", block_len=5)
+            block_frequency_test("0101", block_len=0)
+        # a key shorter than one block is not tested: run_battery once raised here
+        assert not block_frequency_test("0101", block_len=5).applicable
 
 
 class TestRuns:
@@ -115,6 +117,8 @@ class TestRuns:
     def test_prerequisite_violation_not_applicable(self):
         r = runs_test("1" * 64)
         assert not r.applicable and not r.passed
+        # constant streams too short for the 2/sqrt(n) bound once divided by zero
+        assert not any(runs_test(bits).applicable for bits in ("1", "00", "0" * 15))
 
 
 class TestCumulativeSums:

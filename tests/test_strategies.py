@@ -13,6 +13,8 @@ from fdkg.neuralnet import (
     init_network,
 )
 from fdkg.strategies import (
+    EVAL_INTERVAL,
+    PLATEAU_WINDOW,
     MetaConfig,
     MetaTask,
     MetaTaskSet,
@@ -69,7 +71,7 @@ class TestTrainSupervised:
     def test_learns_constructed_task(self):
         init = init_network([6, 16, 6], seed=1)
         data = toy_pairs(64, seed=3)
-        cfg = TrainConfig(batch_size=16, learning_rate=3e-3, max_iterations=2000, seed=0)
+        cfg = TrainConfig(batch_size=16, learning_rate=3e-3, max_iterations=2000)
         hist: list[float] = []
         net = train_supervised(init, data, cfg, loss_history=hist)
         from fdkg.neuralnet import mse_loss
@@ -79,10 +81,17 @@ class TestTrainSupervised:
 
     def test_deterministic(self):
         init = init_network([6, 8, 6], seed=2)
-        cfg = TrainConfig(batch_size=8, max_iterations=60, seed=5)
-        a = train_supervised(init, toy_pairs(32, seed=4), cfg)
-        b = train_supervised(init, toy_pairs(32, seed=4), cfg)
+        cfg = TrainConfig(batch_size=8, max_iterations=60)
+        a = train_supervised(init, toy_pairs(32, seed=4), cfg, seed=5)
+        b = train_supervised(init, toy_pairs(32, seed=4), cfg, seed=5)
         assert a.allclose(b)
+
+    def test_flat_loss_stops_after_one_plateau_window(self):
+        # every step takes the whole set at a negligible rate, so every evaluation reads the same loss
+        cfg = TrainConfig(batch_size=16, learning_rate=1e-12, max_iterations=10_000)
+        hist: list[float] = []
+        train_supervised(init_network([6, 8, 6], seed=10), toy_pairs(16, seed=11), cfg, loss_history=hist)
+        assert len(hist) == (PLATEAU_WINDOW + 1) * EVAL_INTERVAL
 
     def test_joint_pool_sees_all_samples(self):
         source = toy_pairs(40, seed=6)
@@ -212,6 +221,14 @@ class TestMetaTrain:
         b = meta_train(init, tasks, cfg, seed=2)
         assert a.allclose(b)
 
+    def test_flat_totals_stop_after_one_plateau_window(self):
+        # every iteration draws all tasks at a negligible rate, so the summed query losses stay flat
+        tasks = partition_source_into_tasks(toy_pairs(80, seed=14), n_tasks=4, samples_per_task=20, seed=0)
+        cfg = MetaConfig(inner_lr=0.0, outer_lr=1e-12, task_batch=4, max_meta_iterations=1000)
+        hist: list[float] = []
+        meta_train(init_network([6, 8, 6], seed=15), tasks, cfg, seed=0, loss_history=hist)
+        assert len(hist) == PLATEAU_WINDOW + 1
+
 
 class TestPartition:
     def test_exact_partition_no_reuse(self):
@@ -266,7 +283,7 @@ class TestInputsUntouched:
         snap = init.flat.copy()  # the pipeline also hands one pretrained net to both direct and dtl
         outs = [
             train_supervised(init, data, TrainConfig(batch_size=8, max_iterations=10)),
-            adapt(init, data, MetaConfig(adapt_steps=5, adapt_batch_size=8)),
+            adapt(init, data, MetaConfig(adapt_steps=5)),
             inner_update(init, data, alpha=0.1, g_tr=2),
             meta_train(init, tasks, MetaConfig(task_batch=2, max_meta_iterations=3)),
         ]
