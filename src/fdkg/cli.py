@@ -130,13 +130,15 @@ def nist(keys_path: str, out_path: str) -> None:
         rows = run_battery(keys)
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["test", "mode", "params", "n_keys", "pass_ratio", "p_values"])
+            writer.writerow(["test", "mode", "params", "n_keys", "n_applicable", "pass_ratio", "p_values"])
             for row in rows:
                 params = ";".join(f"{k}={v}" for k, v in sorted(row.params.items()))
+                ratio = "" if row.pass_ratio is None else f"{row.pass_ratio:.9g}"
                 pvals = ";".join(f"{p:.9g}" for p in row.p_values)
-                writer.writerow([row.test_name, row.mode, params, row.n_keys, f"{row.pass_ratio:.9g}", pvals])
+                writer.writerow([row.test_name, row.mode, params, row.n_keys, row.n_applicable, ratio, pvals])
         for row in rows:
-            click.echo(f"{row.test_name:22s} {row.mode:13s} pass ratio {row.pass_ratio:.4f}")
+            ratio = "n/a" if row.pass_ratio is None else f"{row.pass_ratio:.4f}"
+            click.echo(f"{row.test_name:22s} {row.mode:13s} pass ratio {ratio}")
 
     _guarded(go)
 

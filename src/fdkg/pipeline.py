@@ -107,10 +107,12 @@ class Sizes:
     n_test: int
 
     def __post_init__(self) -> None:
-        if self.n_source < 1 or self.n_target < 1:
-            raise ConfigError("n_source and n_target must be >= 1")
-        if self.n_adapt < 2:  # one sample gives every feature a zero-range normalizer
-            raise ConfigError(f"n_adapt must be >= 2 after scale_factor is applied, got {self.n_adapt}")
+        if self.n_target < 1:
+            raise ConfigError("n_target must be >= 1")
+        # n_source and n_adapt samples fit normalizers, which one sample gives zero range
+        for name, n in (("n_source", self.n_source), ("n_adapt", self.n_adapt)):
+            if n < 2:
+                raise ConfigError(f"{name} must be >= 2 after scale_factor is applied, got {n}")
         if self.n_test < 1 or self.n_adapt + self.n_test > self.n_target:
             raise ConfigError(
                 f"need n_adapt + n_test <= n_target, got {self.n_adapt}+{self.n_test} > {self.n_target}"
@@ -281,8 +283,9 @@ class RandomnessRow:
     snr_db: float
     test_name: str
     mode: str
-    pass_ratio: float
+    pass_ratio: float | None  # over the n_applicable results; None when none applied
     n_keys: int
+    n_applicable: int
     axis: str | None = None
     axis_value: float | None = None
 
@@ -491,9 +494,11 @@ def _model_chains(
             elapsed = (clock() - t0) + prep_time
             row = ReportRow(alg, env_id, snr, cell_nmse, keys.ker, keys.kgr, elapsed, cfg.seed)
             battery = run_battery(keys.alice_keys) if cfg.compute_randomness and keys.alice_keys else []
-            cells.append(
-                (row, [RandomnessRow(alg, env_id, snr, b.test_name, b.mode, b.pass_ratio, b.n_keys) for b in battery])
-            )
+            randomness = [
+                RandomnessRow(alg, env_id, snr, b.test_name, b.mode, b.pass_ratio, b.n_keys, b.n_applicable)
+                for b in battery
+            ]
+            cells.append((row, randomness))
         return cells
 
     def adapted_cells(kind: str, net: NetworkParams, elapsed: float) -> list[_Cell]:

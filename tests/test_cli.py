@@ -43,16 +43,32 @@ def test_run_writes_reports(tmp_path):
 
 
 def test_run_dump_keys_feeds_nist(tmp_path):
-    cfg_path = write_mini_config(tmp_path)
+    # fdkg nist on a cell's key dump reports the cell's report.json randomness rows
+    cfg = mini_config(snr=20.0, algorithms=["identity", "direct"], compute_randomness=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "out"
     result = invoke("run", "--config", str(cfg_path), "--out", str(out), "--dump-keys")
     assert result.exit_code == 0, result.output
-    dumps = sorted(out.glob("keys_*.txt"))
-    assert dumps, "no key dumps written"
-    nist_out = tmp_path / "nist.csv"
-    result = invoke("nist", "--keys", str(dumps[0]), "--out", str(nist_out))
-    assert result.exit_code == 0, result.output
-    assert nist_out.read_text().startswith("test,mode,params")
+    report_rows = json.loads((out / "report.json").read_text())["randomness"]
+    assert any(r["n_applicable"] == 0 and r["pass_ratio"] is None for r in report_rows)
+    for alg in cfg.algorithms:
+        dump = out / f"keys_{alg}_env2_snr20.txt"
+        nist_out = tmp_path / f"nist_{alg}.csv"
+        result = invoke("nist", "--keys", str(dump), "--out", str(nist_out))
+        assert result.exit_code == 0, result.output
+        with open(nist_out, newline="") as fh:
+            nist_rows = [
+                (r["test"], r["mode"], int(r["n_keys"]), int(r["n_applicable"]), r["pass_ratio"])
+                for r in csv.DictReader(fh)
+            ]
+        cell_rows = [
+            (r["test_name"], r["mode"], r["n_keys"], r["n_applicable"],
+             "" if r["pass_ratio"] is None else f"{r['pass_ratio']:.9g}")
+            for r in report_rows
+            if r["algorithm"] == alg
+        ]
+        assert len(nist_rows) == 8 and nist_rows == cell_rows
 
 
 def test_run_bad_config_exits_2(tmp_path):
@@ -102,6 +118,12 @@ def forbid_work(monkeypatch):
         # one adaptation sample gives every target a zero-range normalizer
         lambda d: d["sizes"].update(n_adapt=1),
         lambda d: (d.update(scale_factor=0.05, algorithms=["direct"]), d["sizes"].update(n_adapt=20)),
+        # one source sample gives every source feature a zero-range normalizer (meta would refuse it anyway)
+        lambda d: (d.update(algorithms=["direct"]), d["sizes"].update(n_source=1)),
+        lambda d: (
+            d.update(scale_factor=0.05, algorithms=["direct"]),
+            d["sizes"].update(n_source=20, n_target=100, n_adapt=40, n_test=40),
+        ),
     ],
     ids=[
         "zero_batch_size",
@@ -121,6 +143,8 @@ def forbid_work(monkeypatch):
         "zero_meta_tasks_scaled",
         "one_adaptation_sample",
         "one_adaptation_sample_scaled",
+        "one_source_sample",
+        "one_source_sample_scaled",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -362,7 +386,7 @@ def test_nist_command(tmp_path):
     result = invoke("nist", "--keys", str(dump), "--out", str(out))
     assert result.exit_code == 0, result.output
     lines = out.read_text().splitlines()
-    assert lines[0] == "test,mode,params,n_keys,pass_ratio,p_values"
+    assert lines[0] == "test,mode,params,n_keys,n_applicable,pass_ratio,p_values"
     names = {line.split(",")[0] for line in lines[1:]}
     assert "frequency" in names and "rank" in names
 
@@ -384,9 +408,13 @@ def test_nist_csv_rows_have_one_field_per_column(tmp_path):
     assert result.exit_code == 0, result.output
     with open(out, newline="") as fh:
         header, *rows = csv.reader(fh)
-    assert header == ["test", "mode", "params", "n_keys", "pass_ratio", "p_values"]
+    assert header == ["test", "mode", "params", "n_keys", "n_applicable", "pass_ratio", "p_values"]
     assert any("," in row[2] for row in rows)
     assert all(len(row) == len(header) for row in rows)
+    # the rank test did not run: no pass ratio, no P-values, and n/a on stdout
+    (rank,) = [row for row in rows if row[0] == "rank"]
+    assert rank[4:] == ["0", "", ""]
+    assert "pass ratio n/a" in result.output
 
 
 @pytest.mark.parametrize(

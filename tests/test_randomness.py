@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import fdkg.randomness
 from fdkg.randomness import (
     approximate_entropy_test,
     as_bits,
@@ -12,7 +13,6 @@ from fdkg.randomness import (
     dft_test,
     frequency_test,
     igamc,
-    pass_ratio,
     rank_test,
     run_battery,
     runs_test,
@@ -139,23 +139,34 @@ class TestCumulativeSums:
         rng = np.random.default_rng(5)
         for _ in range(10):
             bits = rng.integers(0, 2, 256).astype(np.uint8)
-            r = cumulative_sums_test(bits, "forward")
-            assert r.p_values[0] == pytest.approx(self.series_oracle(bits), abs=1e-9)
+            forward, backward = cumulative_sums_test(bits).p_values
+            assert forward == pytest.approx(self.series_oracle(bits), abs=1e-9)
+            assert backward == pytest.approx(self.series_oracle(bits[::-1]), abs=1e-9)
 
     def test_balanced_alternating_near_one(self):
-        r = cumulative_sums_test("01" * 512, "forward")
+        r = cumulative_sums_test("01" * 512)
         assert r.p_values[0] > 0.99
 
     def test_all_ones_fails(self):
-        r = cumulative_sums_test("1" * 128, "forward")
-        assert r.p_values[0] < 1e-10
+        r = cumulative_sums_test("1" * 128)
+        assert max(r.p_values) < 1e-10 and not r.passed
 
     def test_palindrome_modes_agree(self):
         s = "0110100110010110"
         assert s == s[::-1]
-        f = cumulative_sums_test(s, "forward").p_values
-        b = cumulative_sums_test(s, "backward").p_values
-        assert f == b
+        r = cumulative_sums_test(s)
+        assert r.p_values[0] == r.p_values[1]
+
+    def test_passes_only_when_both_directions_do(self):
+        # the two scans of a short stream often disagree; the result then fails
+        rng = np.random.default_rng(1)
+        seen_mixed = False
+        for _ in range(400):
+            r = cumulative_sums_test(rng.integers(0, 2, 64).astype(np.uint8))
+            if (r.p_values[0] >= 0.01) != (r.p_values[1] >= 0.01):
+                assert not r.passed
+                seen_mixed = True
+        assert seen_mixed
 
 
 class TestDft:
@@ -204,7 +215,7 @@ class TestRank:
 
     def test_insufficient_bits_not_applicable(self):
         r = rank_test("01" * 64)
-        assert not r.applicable and not r.passed
+        assert not r.applicable and not r.passed and r.p_values == ()
 
     def test_golden_seeded_stream(self):
         rng = np.random.default_rng(42)
@@ -308,18 +319,52 @@ class TestSerial:
             serial_test("0101", m=1)
 
 
+def battery_rows(keys) -> dict:
+    return {row.test_name: row for row in run_battery(keys)}
+
+
 class TestPassRatioAndBattery:
     def test_alternating_keys_all_pass_frequency(self):
-        keys = ["01" * 64] * 10
-        assert pass_ratio(keys, frequency_test) == 1.0
+        row = battery_rows(["01" * 64] * 10)["frequency"]
+        assert (row.n_keys, row.n_applicable, row.pass_ratio) == (10, 10, 1.0)
 
     def test_all_zero_keys_all_fail(self):
-        keys = ["0" * 128] * 10
-        assert pass_ratio(keys, frequency_test) == 0.0
+        row = battery_rows(["0" * 128] * 10)["frequency"]
+        assert (row.n_applicable, row.pass_ratio) == (10, 0.0)
 
     def test_prng_keys_frequency_ratio(self):
-        keys = prng_keys(718, 128)
-        assert pass_ratio(keys, frequency_test) >= 0.96
+        assert battery_rows(prng_keys(718, 128))["frequency"].pass_ratio >= 0.96
+
+    def test_pass_ratio_counts_applicable_results_only(self):
+        # constant keys fail the runs prerequisite, so runs is not applied to them
+        tested = prng_keys(6, 128, seed=11)
+        row = battery_rows(tested + ["1" * 128] * 4)["runs"]
+        assert (row.n_keys, row.n_applicable) == (10, 6)
+        assert row.pass_ratio == sum(runs_test(k).passed for k in tested) / 6
+
+    def test_no_applicable_result_gives_no_pass_ratio(self):
+        row = battery_rows(prng_keys(50, 128, seed=1))["rank"]
+        assert (row.mode, row.n_keys, row.n_applicable) == ("concatenated", 50, 0)
+        assert row.pass_ratio is None and row.p_values == ()
+        assert "reason" in row.params
+
+    def test_battery_calls_each_test_through_its_module_global(self, monkeypatch):
+        # wrapping fdkg.randomness.<name>_test must reach the battery (the benchmark's tracer does so)
+        names = [
+            "approximate_entropy", "block_frequency", "cumulative_sums", "dft",
+            "frequency", "rank", "runs", "serial",
+        ]
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            real = getattr(fdkg.randomness, f"{name}_test")
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(fdkg.randomness, f"{name}_test", counted)
+        run_battery(prng_keys(3, 128))
+        assert calls == {**dict.fromkeys(names, 3), "dft": 1, "rank": 1}
 
     def test_prng_pass_ratios_all_tests(self):
         # 1000 streams from a high-quality generator: every per-key test in
@@ -367,7 +412,7 @@ class TestPassRatioAndBattery:
                 runs_test,
                 dft_test,
                 lambda b: block_frequency_test(b, 8),
-                lambda b: cumulative_sums_test(b, "forward"),
+                cumulative_sums_test,
                 lambda b: approximate_entropy_test(b, 2),
                 lambda b: serial_test(b, 2),
             ):
