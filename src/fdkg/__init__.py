@@ -33,7 +33,6 @@ from .features import (
     normalize,
 )
 from .keygen import check_epsilon, quantize_guardband, read_key_dump, write_key_dump
-from .model_io import load_model, save_model
 from .neuralnet import (
     AdamState,
     Gradients,
@@ -54,7 +53,6 @@ from .pipeline import (
     emit_report,
     nmse,
     paper_profile,
-    report_from_json,
     run_pipeline,
     score_keys,
     sweep,

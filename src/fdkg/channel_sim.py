@@ -51,8 +51,8 @@ class OfdmConfig:
     def __post_init__(self) -> None:
         if self.n_subcarriers <= 0:
             raise ConfigError(f"n_subcarriers must be positive, got {self.n_subcarriers}")
-        if self.f_ul_hz <= 0 or self.f_dl_hz <= 0:
-            raise ConfigError("carrier frequencies must be positive")
+        if not (0 < self.f_ul_hz < math.inf and 0 < self.f_dl_hz < math.inf):
+            raise ConfigError(f"carriers must be positive and finite, got {self.f_ul_hz} and {self.f_dl_hz} Hz")
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ class EnvironmentSpec:
             raise ConfigError(f"n_paths_range minimum must be >= 1, got {lo}")
         if lo > hi:
             raise ConfigError(f"invalid n_paths_range: min {lo} > max {hi}")
-        if self.delay_spread_s <= 0:
-            raise ConfigError("delay_spread_s must be positive")
+        if not 0 < self.delay_spread_s < math.inf:
+            raise ConfigError(f"delay_spread_s must be positive and finite, got {self.delay_spread_s}")
         if self.gain_decay <= 0:
             raise ConfigError("gain_decay must be positive")
         # tuple-ify so specs built with a list compare equal and stay hashable
@@ -102,22 +102,12 @@ class PathParams:
         return len(self.gains)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Environment:
     """Immutable environment: spec plus the fixed cluster delay layout."""
 
     spec: EnvironmentSpec
     cluster_delays: np.ndarray  # sorted ascending, length = max path count
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Environment):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(
-            self.cluster_delays, other.cluster_delays
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.cluster_delays.tobytes()))
 
 
 def build_environment(spec: EnvironmentSpec) -> Environment:

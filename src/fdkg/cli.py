@@ -1,4 +1,4 @@
-"""Command-line interface for running experiments and inspecting artifacts."""
+"""Command-line interface for running experiments and testing key dumps."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import click
 
 from .errors import ConfigError, FormatError
 from .keygen import read_key_dump, write_key_dump
-from .model_io import load_model
 from .pipeline import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -24,17 +23,17 @@ from .randomness import run_battery
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
+PROFILE_HELP = "Built-in profile to run when no --config is given.  [default: desk]"
 
 
-def _load_config(config: str | None, profile: str, seed: int | None) -> ExperimentConfig:
+def _load_config(config: str | None, profile: str | None, seed: int | None) -> ExperimentConfig:
     if config is not None:
         cfg = ExperimentConfig.from_json(config)
-        if seed is not None:
-            raise ConfigError("--seed with --config is ambiguous; set the seed in the file")
+        for flag, value in (("--seed", seed), ("--profile", profile)):
+            if value is not None:
+                raise ConfigError(f"{flag} with --config is ambiguous; the config file alone sets the run")
         return cfg
-    base = {"desk": desk_profile, "paper": paper_profile}.get(profile)
-    if base is None:
-        raise ConfigError(f"unknown profile {profile!r}")
+    base = {"desk": desk_profile, "paper": paper_profile}[profile or "desk"]
     return base(seed if seed is not None else 0)
 
 
@@ -61,9 +60,9 @@ def main() -> None:
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default="out")
 @click.option("--seed", type=int, default=None, help="Seed for the built-in profiles.")
-@click.option("--profile", type=click.Choice(["desk", "paper"]), default="desk", show_default=True)
+@click.option("--profile", type=click.Choice(["desk", "paper"]), default=None, help=PROFILE_HELP)
 @click.option("--dump-keys", is_flag=True, help="Write per-cell ASCII key dumps for `fdkg nist`.")
-def run(config: str | None, out: str, seed: int | None, profile: str, dump_keys: bool) -> None:
+def run(config: str | None, out: str, seed: int | None, profile: str | None, dump_keys: bool) -> None:
     """Run the full pipeline and write report.csv / report.json."""
 
     def go() -> None:
@@ -97,8 +96,10 @@ def run(config: str | None, out: str, seed: int | None, profile: str, dump_keys:
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", type=click.Path(file_okay=False), default="out")
 @click.option("--seed", type=int, default=None)
-@click.option("--profile", type=click.Choice(["desk", "paper"]), default="desk", show_default=True)
-def sweep_cmd(axis: str, values: str, config: str | None, out: str, seed: int | None, profile: str) -> None:
+@click.option("--profile", type=click.Choice(["desk", "paper"]), default=None, help=PROFILE_HELP)
+def sweep_cmd(
+    axis: str, values: str, config: str | None, out: str, seed: int | None, profile: str | None
+) -> None:
     """Sweep one hyper-parameter axis with shared seeds across values."""
 
     def go() -> None:
@@ -139,30 +140,6 @@ def nist(keys_path: str, out_path: str) -> None:
         for row in rows:
             ratio = "n/a" if row.pass_ratio is None else f"{row.pass_ratio:.4f}"
             click.echo(f"{row.test_name:22s} {row.mode:13s} pass ratio {ratio}")
-
-    _guarded(go)
-
-
-@main.group()
-def model() -> None:
-    """Model file utilities."""
-
-
-@model.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-def inspect(path: str) -> None:
-    """Print the layer layout and normalizer summary of a model file."""
-
-    def go() -> None:
-        net, norm = load_model(path)
-        size = Path(path).stat().st_size
-        click.echo(f"dims: {list(net.layer_dims)}")
-        click.echo(f"parameters: {net.n_parameters}")
-        click.echo(f"file size: {size} bytes ({size / 1e6:.2f} MB)")
-        click.echo(
-            f"normalizer: min in [{norm.col_min.min():.6g}, {norm.col_min.max():.6g}], "
-            f"max in [{norm.col_max.min():.6g}, {norm.col_max.max():.6g}]"
-        )
 
     _guarded(go)
 

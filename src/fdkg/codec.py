@@ -8,6 +8,7 @@ and ``X | None`` to null or X.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from functools import cache
@@ -43,7 +44,7 @@ def encode(obj):
 def decode(tp, value, where: str = "value"):
     """Build a ``tp`` from its JSON form; ``where`` names it in the ConfigError raised for
     unknown keys, missing fields without a default and wrong types (``float`` takes an
-    int, ``int`` takes no float or bool, ``bool`` only a bool)."""
+    int but not NaN, ``int`` takes no float or bool, ``bool`` only a bool)."""
     args = typing.get_args(tp)
     origin = typing.get_origin(tp)
     if dataclasses.is_dataclass(tp):
@@ -71,6 +72,6 @@ def decode(tp, value, where: str = "value"):
         return origin(decode(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(hints, value)))
     if tp is float and type(value) is int:
         return float(value)
-    if type(value) is not tp:
+    if type(value) is not tp or (tp is float and math.isnan(value)):
         raise ConfigError(f"{where}: expected {tp.__name__}, got {value!r}")
     return value

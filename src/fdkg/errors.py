@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """Malformed or truncated binary file (bad magic, version, or length)."""
+    """Malformed key dump (a byte that is not ASCII, or a character other than 0/1)."""
 
 
 class NumericError(ArithmeticError):

@@ -86,11 +86,6 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams.from_flat(self.layer_dims, self.flat.copy(), self.output_activation)
 
-    def allclose(self, other: "NetworkParams", atol: float = 0.0) -> bool:
-        return self.layer_dims == other.layer_dims and np.allclose(
-            self.flat, other.flat, rtol=0.0, atol=atol
-        )
-
 
 class Gradients:
     """Loss gradients laid out like ``NetworkParams.flat``; d_weights/d_biases are views."""
@@ -150,8 +145,8 @@ class TrainConfig:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ConfigError("batch_size and learning_rate must be positive")
+        if self.batch_size <= 0 or not 0 < self.learning_rate < np.inf:
+            raise ConfigError("batch_size and learning_rate must be positive (learning_rate finite)")
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
 

@@ -295,12 +295,6 @@ class ExperimentReport:
     rows: list[ReportRow]
     randomness: list[RandomnessRow] = field(default_factory=list)
 
-    def cell(self, algorithm: str, env: int, snr_db: float) -> ReportRow:
-        for row in self.rows:
-            if row.algorithm == algorithm and row.env == env and row.snr_db == snr_db:
-                return row
-        raise KeyError(f"no report row for ({algorithm}, {env}, {snr_db})")
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -328,10 +322,6 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> None:
         path.write_text(json.dumps(encode(report), indent=2) + "\n")
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-
-
-def report_from_json(path: str | Path) -> ExperimentReport:
-    return decode(ExperimentReport, json.loads(Path(path).read_text()), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +479,9 @@ def _model_chains(
             preds = test.inputs if net is None else forward(net, test.inputs)
             cell_nmse = nmse(preds, test.targets)
             keys = score_keys(preds, test.targets, cfg.quantizer_epsilon, cfg.ofdm.n_subcarriers)
+            elapsed = (clock() - t0) + prep_time  # the key dump is not the cell's work
             if key_sink is not None:
                 key_sink(alg, env_id, snr, keys.alice_keys, keys.bob_keys)
-            elapsed = (clock() - t0) + prep_time
             row = ReportRow(alg, env_id, snr, cell_nmse, keys.ker, keys.kgr, elapsed, cfg.seed)
             battery = run_battery(keys.alice_keys) if cfg.compute_randomness and keys.alice_keys else []
             randomness = [

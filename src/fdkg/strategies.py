@@ -93,8 +93,8 @@ class MetaConfig:
     max_meta_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.inner_lr < 0 or self.outer_lr <= 0:
-            raise ConfigError("learning rates must be positive (inner_lr may be 0 for diagnostics)")
+        if not (0 <= self.inner_lr < np.inf and 0 < self.outer_lr < np.inf):
+            raise ConfigError("learning rates must be finite and positive (inner_lr may be 0 for diagnostics)")
         if self.inner_steps < 1:
             raise ConfigError("inner_steps must be >= 1")
         if self.task_batch < 1 or self.adapt_steps < 0 or self.max_meta_iterations < 1:

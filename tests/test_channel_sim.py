@@ -24,7 +24,8 @@ def cfg():
 
 def test_build_environment_deterministic():
     spec = EnvironmentSpec(env_id=1, seed=7)
-    assert build_environment(spec) == build_environment(spec)
+    a, b = build_environment(spec), build_environment(spec)
+    assert a.spec == b.spec and a.cluster_delays.tobytes() == b.cluster_delays.tobytes()
 
 
 def test_invalid_paths_range_is_config_error():

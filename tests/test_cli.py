@@ -2,7 +2,6 @@ import csv
 import dataclasses
 import json
 import math
-import struct
 import typing
 
 import numpy as np
@@ -11,10 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fdkg.cli import main
-from fdkg.features import fit_normalizer
 from fdkg.keygen import write_key_dump
-from fdkg.model_io import MODEL_MAGIC, save_model
-from fdkg.neuralnet import init_network
 from fdkg.pipeline import KNOWN_ALGORITHMS, ExperimentConfig, desk_profile
 
 from test_pipeline import mini_config
@@ -124,6 +120,12 @@ def forbid_work(monkeypatch):
             d.update(scale_factor=0.05, algorithms=["direct"]),
             d["sizes"].update(n_source=20, n_target=100, n_adapt=40, n_test=40),
         ),
+        # an infinite carrier or delay spread once failed in synthesis, an infinite learning rate in training
+        lambda d: d["ofdm"].update(f_dl_hz=math.inf),
+        lambda d: d["environments"]["targets"][0].update(delay_spread_s=math.inf),
+        lambda d: d["train"].update(learning_rate=math.inf),
+        lambda d: d["meta"].update(inner_lr=math.inf),
+        lambda d: d["meta"].update(outer_lr=math.inf),
     ],
     ids=[
         "zero_batch_size",
@@ -145,6 +147,11 @@ def forbid_work(monkeypatch):
         "one_adaptation_sample_scaled",
         "one_source_sample",
         "one_source_sample_scaled",
+        "inf_f_dl",
+        "inf_delay_spread",
+        "inf_learning_rate",
+        "inf_inner_lr",
+        "inf_outer_lr",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -215,12 +222,17 @@ CONFIG_BREAKS = st.one_of(
     ),
     # a field without a default dropped
     st.sampled_from([p for kind, p, _ in SITES if kind == "required"]).map(lambda p: ("drop", p, None)),
+    # NaN in a float leaf
+    st.sampled_from([p for kind, p, ok in SITES if kind == "leaf" and float in ok]).map(
+        lambda p: ("set", p, math.nan)
+    ),
 )
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(change=CONFIG_BREAKS)
 @example(change=("set", ("n_source",), 1))  # a grouped field at the top level was once ignored
+@example(change=("set", ("ofdm", "f_ul_hz"), math.nan))  # once failed in synthesis with a traceback
 def test_run_rejects_a_config_broken_in_one_place_before_any_work(tmp_path, monkeypatch, change):
     called = forbid_work(monkeypatch)
     path = tmp_path / "cfg.json"
@@ -291,10 +303,16 @@ def test_run_non_finite_predictions_exit_3(tmp_path, monkeypatch):
     assert "numeric failure: feature vectors must be finite" in result.output
 
 
-def test_run_config_with_seed_flag_conflicts(tmp_path):
+def test_run_config_with_seed_flag_conflicts(tmp_path, monkeypatch):
+    # --profile with --config once ran the file and ignored the profile
+    called = forbid_work(monkeypatch)
     cfg_path = write_mini_config(tmp_path)
-    result = invoke("run", "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "o"))
-    assert result.exit_code == 2
+    for command in (["run"], ["sweep", "--axis", "snr", "--values", "20"]):
+        for flag in (["--seed", "3"], ["--profile", "paper"]):
+            result = invoke(*command, "--config", str(cfg_path), *flag, "--out", str(tmp_path / "o"))
+            assert result.exit_code == 2, (command, flag, result.output)
+            assert f"{flag[0]} with --config is ambiguous" in result.output
+    assert called == []
 
 
 def test_sweep_command(tmp_path):
@@ -428,31 +446,3 @@ def test_nist_malformed_dump_exits_2(tmp_path, content, reason):
     result = invoke("nist", "--keys", str(dump), "--out", str(tmp_path / "o.csv"))
     assert result.exit_code == 2, result.output
     assert "format error:" in result.output and reason in result.output
-
-
-def test_model_inspect(tmp_path):
-    net = init_network([8, 16, 8], seed=1)
-    norm = fit_normalizer(np.random.default_rng(2).normal(size=(10, 8)))
-    path = tmp_path / "m.fdkg"
-    save_model(net, norm, path)
-    result = invoke("model", "inspect", str(path))
-    assert result.exit_code == 0, result.output
-    assert "dims: [8, 16, 8]" in result.output
-    assert "parameters:" in result.output
-
-
-def test_model_inspect_bad_file_exits_2(tmp_path):
-    path = tmp_path / "junk.fdkg"
-    path.write_bytes(b"garbage bytes here")
-    result = invoke("model", "inspect", str(path))
-    assert result.exit_code == 2
-
-
-def test_model_inspect_zero_dim_exits_2(tmp_path):
-    # a well-sized file whose header declares dims (4, 0, 4): 4 biases plus two
-    # 4-wide normalizer columns, 12 float64s in all
-    path = tmp_path / "zero.fdkg"
-    path.write_bytes(MODEL_MAGIC + struct.pack("<II3I", 1, 3, 4, 0, 4) + bytes(8 * 12))
-    result = invoke("model", "inspect", str(path))
-    assert result.exit_code == 2, result.output
-    assert "format error:" in result.output and "zero layer dim" in result.output

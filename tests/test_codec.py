@@ -59,6 +59,8 @@ def test_decode_defaults_and_int_to_float():
         ({"name": "a", "inner": [], "pair": [1, 2]}, "x.inner"),
         ({"name": "a", "inner": {"rate": 1.0}, "pair": [1, 2], "items": {}}, "x.items"),
         ({"name": None, "inner": {"rate": 1.0}, "pair": [1, 2]}, "x.name"),
+        ({"name": "a", "inner": {"rate": float("nan")}, "pair": [1, 2]}, "x.inner.rate: expected float, got nan"),
+        ({"name": "a", "inner": {"rate": 1.0}, "pair": [1, 2], "value": float("nan")}, "x.value: expected float, got nan"),
     ],
 )
 def test_decode_rejects(doc, message):

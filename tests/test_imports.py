@@ -1,4 +1,5 @@
-"""Every module-level import in fdkg is used by its module (no linter needed)."""
+"""Every module-level import in fdkg is used by its module, and every module-level
+function or class has a caller in fdkg (no linter needed)."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,36 @@ def test_detects_an_unused_import():
 )
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+# reference code that only the tests call, kept as the oracles they compare against
+UNCALLED_ALLOWED = {
+    "mse_loss",  # the loss the finite-difference gradient checks differentiate
+    "sample_user_channel",  # one user's paths, which the per-user stream checks compare with a dataset
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Undecorated module-level functions and classes of ``sources`` (module name ->
+    source) that no module there names by a Name, an Attribute or an import alias."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.decorator_list
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [(module, name) for module, name in defined if name not in referenced]
+
+
+def test_every_definition_has_a_caller_in_fdkg():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert [(m, name) for m, name in unreferenced_definitions(sources) if name not in UNCALLED_ALLOWED] == []

@@ -58,7 +58,7 @@ def finite_difference_grads(net, x, y, h=1e-5):
 def test_init_deterministic_and_shapes():
     a = init_network([2, 3, 1], seed=5)
     b = init_network([2, 3, 1], seed=5)
-    assert a.allclose(b)
+    assert np.array_equal(a.flat, b.flat)
     assert a.weights[0].shape == (3, 2) and a.weights[1].shape == (1, 3)
     assert a.biases[0].shape == (3,) and a.biases[1].shape == (1,)
     assert np.all(a.biases[0] == 0.0)
@@ -207,7 +207,7 @@ def test_sgd_step_arithmetic():
     net = scalar_net(0.0)
     grads = Gradients(d_weights=[np.array([[-4.0]])], d_biases=[np.array([0.0])])
     assert sgd_step(net, grads, 0.1).weights[0][0, 0] == pytest.approx(0.4, abs=1e-15)
-    assert sgd_step(net, grads, 0.0).allclose(net)
+    assert np.array_equal(sgd_step(net, grads, 0.0).flat, net.flat)
 
 
 def test_sgd_differs_from_adam_on_nonzero_gradient():
@@ -267,7 +267,7 @@ def test_copy_shares_no_memory():
     dup = net.copy()
     assert not np.shares_memory(dup.flat, net.flat)
     assert not any(np.shares_memory(a, b) for a in dup.weights + dup.biases for b in net.weights + net.biases)
-    assert dup.allclose(net)
+    assert np.array_equal(dup.flat, net.flat)
 
 
 def test_optimizer_steps_do_not_modify_inputs():
@@ -279,7 +279,7 @@ def test_optimizer_steps_do_not_modify_inputs():
     net_before, grads_before = net.flat.copy(), grads.flat.copy()
     moved = sgd_step(net, grads, 0.1)
     assert np.array_equal(net.flat, net_before) and np.array_equal(grads.flat, grads_before)
-    assert not np.shares_memory(moved.flat, net.flat) and not moved.allclose(net)
+    assert not np.shares_memory(moved.flat, net.flat) and not np.array_equal(moved.flat, net.flat)
 
     state = init_adam_state(net)
     buffers = (net.flat, state.m, state.v)

@@ -2,7 +2,6 @@ import functools
 import json
 import math
 import os
-import struct
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +10,9 @@ import numpy as np
 import pytest
 
 from fdkg.channel_sim import EnvironmentSpec, OfdmConfig
-from fdkg.errors import ConfigError, FormatError, NumericError
-from fdkg.features import Normalizer, fit_normalizer
-from fdkg.model_io import load_model, save_model
-from fdkg.neuralnet import TrainConfig, forward, init_network
+from fdkg.codec import decode
+from fdkg.errors import ConfigError, NumericError
+from fdkg.neuralnet import TrainConfig
 from fdkg.pipeline import (
     CSV_COLUMNS,
     Environments,
@@ -28,7 +26,6 @@ from fdkg.pipeline import (
     emit_report,
     nmse,
     paper_profile,
-    report_from_json,
     run_pipeline,
     score_keys,
     sweep,
@@ -255,8 +252,8 @@ class TestDeterminismAndCells:
             mini_config(snr=20.0, algorithms=["direct"], snr_list_db=[10.0, 20.0])
         )
         alone = run_pipeline(mini_config(snr=20.0, algorithms=["direct"], snr_list_db=[20.0]))
-        row_full = full.cell("direct", 2, 20.0)
-        row_alone = alone.cell("direct", 2, 20.0)
+        (row_full,) = [r for r in full.rows if r.snr_db == 20.0]
+        (row_alone,) = alone.rows
         assert row_full.nmse == row_alone.nmse
         assert row_full.ker == row_alone.ker
         assert row_full.kgr == row_alone.kgr
@@ -389,6 +386,16 @@ class TestModelChains:
             sunk.append({c[:3]: [k.tolist() for k in c[3] + c[4]] for c in calls})
         assert sunk[0] == sunk[1]
 
+    def test_wall_time_leaves_out_the_key_sink(self):
+        def slow_sink(*args):
+            t0 = time.thread_time()
+            while time.thread_time() - t0 < 0.3:  # CPU work, which thread and wall clocks both count
+                pass
+
+        cfg = mini_config(algorithms=["identity"], record_wall_time=True)
+        rows = run_pipeline(cfg, key_sink=slow_sink).rows
+        assert rows and all(row.wall_time_s < 0.3 for row in rows)
+
     def test_runner_runs_every_chain_once_under_fast_switching(self):
         import sys
 
@@ -475,9 +482,9 @@ class TestSnrMonotonicity:
             cfg = mini_config(
                 seed=seed, snr=20.0, algorithms=["meta"], snr_list_db=[0.0, 40.0]
             )
-            report = run_pipeline(cfg)
-            low.append(report.cell("meta", 2, 40.0).nmse)
-            high.append(report.cell("meta", 2, 0.0).nmse)
+            nmse_at = {row.snr_db: row.nmse for row in run_pipeline(cfg).rows}  # the meta rows of env 2
+            low.append(nmse_at[40.0])
+            high.append(nmse_at[0.0])
         assert np.mean(low) <= np.mean(high)
 
 
@@ -498,7 +505,7 @@ class TestEmitReport:
         report = run_pipeline(mini_config(snr=15.0))
         path = tmp_path / "r.json"
         emit_report(report, "json", path)
-        assert report_from_json(path) == report
+        assert decode(ExperimentReport, json.loads(path.read_text())) == report
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -537,7 +544,7 @@ class TestSweep:
         assert all(r.axis == "snr" and r.axis_value == r.snr_db for r in report.randomness)
         path = tmp_path / "s.json"
         emit_report(report, "json", path)
-        assert report_from_json(path) == report
+        assert decode(ExperimentReport, json.loads(path.read_text())) == report
 
     def test_sweep_randomness_rows_are_tagged_and_unique(self, tmp_path):
         cfg = mini_config(snr=20.0, algorithms=["meta"], compute_randomness=True)
@@ -550,7 +557,7 @@ class TestSweep:
         assert len(set(keys)) == len(keys)
         path = tmp_path / "s.json"
         emit_report(report, "json", path)
-        assert report_from_json(path) == report
+        assert decode(ExperimentReport, json.loads(path.read_text())) == report
         # a plain run's randomness rows carry no axis fields
         emit_report(run_pipeline(cfg), "json", path)
         assert all("axis" not in r for r in json.loads(path.read_text())["randomness"])
@@ -603,75 +610,6 @@ class TestSweep:
         report = sweep(mini_config(snr=20.0, algorithms=["dtl"], scale_factor=0.5), "n_ad", [10])
         assert calls == [60, 10, 12]  # half the source and test sets, and 10 adaptation samples
         assert {r.axis_value for r in report.rows} == {10.0}
-
-
-class TestModelIO:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        net = init_network([8, 12, 8], seed=4)
-        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
-        path = tmp_path / "model.fdkg"
-        save_model(net, norm, path)
-        net2, norm2 = load_model(path)
-        assert net2.layer_dims == net.layer_dims
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, net2.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(net.biases, net2.biases))
-        assert np.array_equal(norm.col_min, norm2.col_min)
-        assert np.array_equal(norm.col_max, norm2.col_max)
-        x = np.random.default_rng(6).uniform(0, 1, (5, 8))
-        assert np.array_equal(forward(net, x), forward(net2, x))
-
-    def test_file_layout_is_per_layer_weights_then_bias(self, tmp_path):
-        net = init_network([8, 12, 8], seed=4)
-        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
-        path = tmp_path / "model.fdkg"
-        save_model(net, norm, path)
-        body = b"".join(
-            w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
-            for w, b in zip(net.weights, net.biases)
-        )
-        tail = norm.col_min.astype("<f8").tobytes() + norm.col_max.astype("<f8").tobytes()
-        assert path.read_bytes() == b"FDKG-NN" + struct.pack("<5I", 1, 3, 8, 12, 8) + body + tail
-
-    def test_truncated_file_rejected(self, tmp_path):
-        net = init_network([8, 12, 8], seed=4)
-        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
-        path = tmp_path / "model.fdkg"
-        save_model(net, norm, path)
-        raw = path.read_bytes()
-        for cut in (len(raw) - 1, len(raw) // 2, 10):
-            bad = tmp_path / f"cut{cut}.fdkg"
-            bad.write_bytes(raw[:cut])
-            with pytest.raises(FormatError):
-                load_model(bad)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.fdkg"
-        path.write_bytes(b"JUNKJUNK" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_model(path)
-
-    def test_full_size_model_file_near_expected_size(self, tmp_path):
-        # (512,1024,1024,512) hidden layers with 128-dim input/output at f64
-        net = init_network([128, 512, 1024, 1024, 512, 128], seed=0)
-        norm = Normalizer(col_min=np.zeros(128), col_max=np.ones(128))
-        path = tmp_path / "big.fdkg"
-        save_model(net, norm, path)
-        size = path.stat().st_size
-        assert 25.6e6 / 2 <= size <= 25.6e6 * 2
-
-    def test_linear_output_network_not_saved(self, tmp_path):
-        net = init_network([8, 12, 8], seed=4, output_activation="linear")
-        norm = fit_normalizer(np.random.default_rng(5).normal(size=(20, 8)))
-        path = tmp_path / "m.fdkg"
-        with pytest.raises(ValueError, match="sigmoid"):
-            save_model(net, norm, path)
-        assert not path.exists()
-
-    def test_dimension_mismatch_rejected(self, tmp_path):
-        net = init_network([8, 12, 8], seed=4)
-        norm = Normalizer(col_min=np.zeros(6), col_max=np.ones(6))
-        with pytest.raises(ValueError):
-            save_model(net, norm, tmp_path / "m.fdkg")
 
 
 class TestScoreKeys:
