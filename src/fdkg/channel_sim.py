@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .rng import ReusableStream, stream
 
 TWO_PI = 2.0 * math.pi
@@ -75,6 +75,9 @@ class EnvironmentSpec:
             raise ConfigError(f"delay_spread_s must be positive and finite, got {self.delay_spread_s}")
         if self.gain_decay <= 0:
             raise ConfigError("gain_decay must be positive")
+        for name in ("env_id", "seed"):  # both key the random streams as signed 64-bit integers
+            if not -(2**63) <= getattr(self, name) < 2**63:
+                raise ConfigError(f"{name} must fit in a signed 64-bit integer, got {getattr(self, name)}")
         # tuple-ify so specs built with a list compare equal and stay hashable
         object.__setattr__(self, "n_paths_range", (int(lo), int(hi)))
 
@@ -130,6 +133,8 @@ def _draw_paths(env: Environment, rng: np.random.Generator) -> PathParams:
     delays = env.cluster_delays[:n].copy()
     u = rng.uniform(0.5, 1.0, size=n)
     gains = np.exp(-(delays / spec.delay_spread_s) / spec.gain_decay) * u
+    if not np.all(gains > 0):
+        raise NumericError(f"path gains underflow to 0: gain_decay {spec.gain_decay:g} is too small")
     phases = rng.uniform(0.0, TWO_PI, size=n)
     return PathParams(gains=gains, delays=delays, phases=phases)
 
@@ -186,47 +191,23 @@ def add_estimation_noise(
     return h + scale * noise
 
 
-@dataclass(frozen=True)
-class EnvironmentDataset:
-    """Uplink/downlink estimated CFR pairs for one environment.
-
-    Row i of ``h_ul`` and ``h_dl`` derive from the same user's path
-    parameters; the two bands carry independent estimation noise.
-    """
-
-    spec: EnvironmentSpec
-    ofdm: OfdmConfig
-    snr_db: float
-    h_ul: np.ndarray  # (n_samples, L) complex128
-    h_dl: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.h_ul.shape != self.h_dl.shape:
-            raise ValueError("uplink/downlink arrays must have equal shape")
-        if self.h_ul.ndim != 2 or self.h_ul.shape[1] != self.ofdm.n_subcarriers:
-            raise ValueError("dataset arrays must be (n_samples, n_subcarriers)")
-
-
-def _snr_tag(snr_db: float) -> float:
-    # inf cannot be packed into a stream tag meaningfully distinct per run,
-    # but no noise stream is consumed at infinite SNR anyway
-    return 0.0 if math.isinf(snr_db) else float(snr_db)
-
-
 def generate_env_dataset(
     env: Environment,
     n_samples: int,
     snr_db: float,
     cfg: OfdmConfig,
     start_index: int = 0,
-) -> EnvironmentDataset:
-    """Generate ``n_samples`` band pairs for users start_index..start_index+n-1.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uplink and downlink estimated CFRs, each ``(n_samples, n_subcarriers)``
+    complex128, of users start_index..start_index+n-1.
 
-    Deterministic given (spec, snr_db, cfg, start_index); each sample is drawn
-    from its own (seed, tag, env, user) streams, so generating a sample alone
-    (``n_samples=1``, ``start_index=i``) yields the same values as inside a
-    batch.  Pooled generators are re-keyed instead of built fresh per sample,
-    which produces identical draws much faster.
+    Row i of both arrays derives from the same user's path parameters; the two
+    bands carry independent estimation noise.  Deterministic given (spec,
+    snr_db, cfg, start_index); each sample is drawn from its own (seed, tag,
+    env, user) streams, so generating a sample alone (``n_samples=1``,
+    ``start_index=i``) yields the same values as inside a batch.  Pooled
+    generators are re-keyed instead of built fresh per sample, which produces
+    identical draws much faster.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -234,7 +215,6 @@ def generate_env_dataset(
     h_ul = np.empty((n_samples, L), dtype=np.complex128)
     h_dl = np.empty((n_samples, L), dtype=np.complex128)
     seed, env_id = env.spec.seed, env.spec.env_id
-    tag = _snr_tag(snr_db)
     noisy = not math.isinf(snr_db)
     pool_user, pool_ul, pool_dl = ReusableStream(), ReusableStream(), ReusableStream()
     for i in range(n_samples):
@@ -243,8 +223,8 @@ def generate_env_dataset(
         hu = cfr(paths, cfg.f_ul_hz, cfg)
         hd = cfr(paths, cfg.f_dl_hz, cfg)
         if noisy:
-            hu = add_estimation_noise(hu, snr_db, pool_ul.rekey(seed, "noise-ul", env_id, user, tag))
-            hd = add_estimation_noise(hd, snr_db, pool_dl.rekey(seed, "noise-dl", env_id, user, tag))
+            hu = add_estimation_noise(hu, snr_db, pool_ul.rekey(seed, "noise-ul", env_id, user, float(snr_db)))
+            hd = add_estimation_noise(hd, snr_db, pool_dl.rekey(seed, "noise-dl", env_id, user, float(snr_db)))
         h_ul[i] = hu
         h_dl[i] = hd
-    return EnvironmentDataset(spec=env.spec, ofdm=cfg, snr_db=snr_db, h_ul=h_ul, h_dl=h_dl)
+    return h_ul, h_dl

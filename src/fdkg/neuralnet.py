@@ -120,7 +120,6 @@ class AdamState:
     ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place, using the
     two chunk-sized vectors ``scratch`` as its work buffers."""
 
-    layer_dims: tuple[int, ...]
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
@@ -133,7 +132,7 @@ class AdamState:
 
 def init_adam_state(net: NetworkParams) -> AdamState:
     n = net.n_parameters
-    return AdamState(net.layer_dims, m=np.zeros(n), v=np.zeros(n))
+    return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
 @dataclass(frozen=True)

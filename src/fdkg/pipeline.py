@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -35,7 +34,6 @@ import numpy as np
 
 from . import _BLAS_PINNED
 from .channel_sim import (
-    EnvironmentDataset,
     EnvironmentSpec,
     OfdmConfig,
     build_environment,
@@ -140,6 +138,8 @@ class ExperimentConfig:
     compute_randomness: bool = False
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for alg in self.algorithms:
             if alg not in KNOWN_ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}; choose from {KNOWN_ALGORITHMS}")
@@ -400,23 +400,14 @@ class _TargetData:
     test_pairs: dict[float, PairSet]
 
 
-def _features(ds: EnvironmentDataset) -> tuple[np.ndarray, np.ndarray]:
-    return complex_to_features(ds.h_ul), complex_to_features(ds.h_dl)
-
-
 def _feature_pairs(ul: np.ndarray, dl: np.ndarray, alice: Normalizer, bob: Normalizer) -> PairSet:
     return PairSet(inputs=normalize(alice, ul), targets=normalize(bob, dl))
 
 
-def _data_fields(cfg: ExperimentConfig) -> tuple:
-    """Every config field that ``_prepare_data`` reads (keep the two in step):
-    configs with equal fields get identical data."""
-    return cfg.ofdm, cfg.environments, cfg.sizes, cfg.snr_list_db, cfg.train_snr_db
-
-
 def _source_features(spec: EnvironmentSpec, cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Uplink and downlink features of one source environment (its dataset is freed on return)."""
-    return _features(generate_env_dataset(build_environment(spec), cfg.sizes.n_source, cfg.train_snr_db, cfg.ofdm))
+    """Uplink and downlink features of one source environment (its complex arrays are freed on return)."""
+    h_ul, h_dl = generate_env_dataset(build_environment(spec), cfg.sizes.n_source, cfg.train_snr_db, cfg.ofdm)
+    return complex_to_features(h_ul), complex_to_features(h_dl)
 
 
 def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
@@ -431,13 +422,15 @@ def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
     test_start = sizes.n_target - sizes.n_test
     for spec in cfg.environments.targets:
         env = build_environment(spec)
-        adapt_ul, adapt_dl = _features(generate_env_dataset(env, sizes.n_adapt, cfg.train_snr_db, cfg.ofdm))
+        adapt_ul, adapt_dl = map(
+            complex_to_features, generate_env_dataset(env, sizes.n_adapt, cfg.train_snr_db, cfg.ofdm)
+        )
         alice_t, bob_t = fit_normalizer(adapt_ul), fit_normalizer(adapt_dl)
         adapt_pairs = _feature_pairs(adapt_ul, adapt_dl, alice_t, bob_t)
         test_pairs = {}
         for snr in cfg.snr_list_db:
-            test_ds = generate_env_dataset(env, sizes.n_test, snr, cfg.ofdm, start_index=test_start)
-            test_pairs[snr] = _feature_pairs(*_features(test_ds), alice_t, bob_t)
+            test_h = generate_env_dataset(env, sizes.n_test, snr, cfg.ofdm, start_index=test_start)
+            test_pairs[snr] = _feature_pairs(*map(complex_to_features, test_h), alice_t, bob_t)
         targets.append(_TargetData(spec=spec, adapt_pairs=adapt_pairs, test_pairs=test_pairs))
     return source_pairs, targets
 
@@ -588,14 +581,10 @@ def _run_chains(chains: list[Callable], width: int) -> list:
     return results
 
 
-def _shared_fields(cfg: ExperimentConfig) -> tuple:
-    """The fields that decide a run's data and initial network."""
-    return _data_fields(cfg), cfg.hidden_dims, cfg.seed
-
-
 def _run_group(cfgs: list[ExperimentConfig], key_sink=None) -> list[ExperimentReport]:
-    """The reports of scaled configs with equal :func:`_shared_fields`: their data and
-    initial network are made once, and the model chains of all of them share one queue."""
+    """The reports of scaled configs with the same data and initial network (the
+    values of one sweep on any axis but ``n_ad``): those are made once, from
+    ``cfgs[0]``, and the model chains of all of them share one queue."""
     source_pairs, targets = _prepare_data(cfgs[0])
     dim = 2 * cfgs[0].ofdm.n_subcarriers
     init = init_network([dim, *cfgs[0].hidden_dims, dim], seed=cfgs[0].seed)
@@ -649,9 +638,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
     """Re-run the pipeline per axis value with shared seeds for pairing.
 
     The SNR axis is a single run (training is shared across test SNRs);
-    other axes train every value's models, synthesizing the data again only
-    when a value changes a data field (sizes, environments, SNRs).  The model
-    chains of consecutive values with the same data run in one queue.
+    other axes train every value's models.  An ``n_ad`` value changes the
+    data, so each one synthesizes its own and runs alone; the values of the
+    other axes share one dataset, and their model chains run in one queue.
     Report and randomness rows carry the axis name and value for plot-ready
     long-format output.
     """
@@ -669,9 +658,9 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     # scaled first, so that each value is used as given; every value is validated before any work
     configs = [_with_axis(apply_scale(cfg), axis, value) for value in values]
-    # consecutive values with the same data share it and one chain queue; a group's data is freed before the next
-    groups = itertools.groupby(configs, _shared_fields)
-    reports = [report for _, group in groups for report in _run_group(list(group))]
+    # only a sizes axis changes the data or the initial network; a group's data is freed before the next
+    groups = [[c] for c in configs] if SWEEP_FIELDS[axis][0] == "sizes" else [configs]
+    reports = [report for group in groups for report in _run_group(group)]
     tags = [{"axis": axis, "axis_value": float(value)} for value in values]
     return ExperimentReport(
         rows=[replace(r, **tag) for tag, report in zip(tags, reports) for r in report.rows],

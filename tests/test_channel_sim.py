@@ -13,7 +13,7 @@ from fdkg.channel_sim import (
     generate_env_dataset,
     sample_user_channel,
 )
-from fdkg.errors import ConfigError
+from fdkg.errors import ConfigError, NumericError
 from fdkg.rng import stream
 
 
@@ -74,6 +74,17 @@ def test_gain_decay_limit_gives_unit_gains():
     assert np.all((decay_only >= 0.5) & (decay_only <= 1.0))
     forced = np.exp(-(p.delays / env.spec.delay_spread_s) / env.spec.gain_decay)
     assert np.allclose(forced, 1.0, atol=1e-10)
+
+
+def test_gain_underflow_raises_numeric_error_and_infinite_decay_stays_flat():
+    # a tiny positive decay once underflowed far gains to 0 and failed PathParams' ValueError
+    with pytest.raises(NumericError, match="underflow"):
+        sample_user_channel(build_environment(EnvironmentSpec(env_id=1, gain_decay=1e-4, seed=3)), 0)
+    # at +inf every gain is its jitter factor alone: the same draws that a finite decay scales
+    spec = EnvironmentSpec(env_id=1, gain_decay=4.0, seed=3)
+    decayed = sample_user_channel(build_environment(spec), 0)
+    flat = sample_user_channel(build_environment(EnvironmentSpec(env_id=1, gain_decay=math.inf, seed=3)), 0)
+    assert np.allclose(flat.gains * np.exp(-(decayed.delays / spec.delay_spread_s) / 4.0), decayed.gains, rtol=1e-12)
 
 
 def test_delays_bounded_by_spread():
@@ -139,41 +150,41 @@ def test_noise_variance_20db_monte_carlo():
 def test_reciprocity_with_equal_carriers():
     cfg = OfdmConfig(f_ul_hz=2.4e9, f_dl_hz=2.4e9)
     env = build_environment(EnvironmentSpec(env_id=1, seed=13))
-    ds = generate_env_dataset(env, 16, math.inf, cfg)
-    assert np.array_equal(ds.h_ul, ds.h_dl)
+    h_ul, h_dl = generate_env_dataset(env, 16, math.inf, cfg)
+    assert np.array_equal(h_ul, h_dl)
 
 
 def test_full_scale_dataset_shape():
     # full source-environment size at the default carriers: 40k pairs of
     # length-64 band responses
     env = build_environment(EnvironmentSpec(env_id=1, seed=1))
-    ds = generate_env_dataset(env, 40_000, 20.0, OfdmConfig())
-    assert ds.h_ul.shape == (40_000, 64)
-    assert ds.h_dl.shape == (40_000, 64)
-    assert np.all(np.isfinite(ds.h_ul.view(float)))
+    h_ul, h_dl = generate_env_dataset(env, 40_000, 20.0, OfdmConfig())
+    assert h_ul.shape == (40_000, 64)
+    assert h_dl.shape == (40_000, 64)
+    assert np.all(np.isfinite(h_ul.view(float)))
 
 
 def test_dataset_shape_and_determinism():
     cfg = OfdmConfig()
     env = build_environment(EnvironmentSpec(env_id=1, seed=17))
-    a = generate_env_dataset(env, 40, 20.0, cfg)
-    b = generate_env_dataset(env, 40, 20.0, cfg)
-    assert a.h_ul.shape == (40, 64)
-    assert np.array_equal(a.h_ul, b.h_ul) and np.array_equal(a.h_dl, b.h_dl)
+    a_ul, a_dl = generate_env_dataset(env, 40, 20.0, cfg)
+    b_ul, b_dl = generate_env_dataset(env, 40, 20.0, cfg)
+    assert a_ul.shape == (40, 64)
+    assert np.array_equal(a_ul, b_ul) and np.array_equal(a_dl, b_dl)
 
 
 def test_sample_order_independence():
     cfg = OfdmConfig()
     env = build_environment(EnvironmentSpec(env_id=4, seed=19))
-    batch = generate_env_dataset(env, 10, 15.0, cfg)
-    lone = generate_env_dataset(env, 1, 15.0, cfg, start_index=7)
-    assert np.array_equal(batch.h_ul[7], lone.h_ul[0])
-    assert np.array_equal(batch.h_dl[7], lone.h_dl[0])
+    batch_ul, batch_dl = generate_env_dataset(env, 10, 15.0, cfg)
+    lone_ul, lone_dl = generate_env_dataset(env, 1, 15.0, cfg, start_index=7)
+    assert np.array_equal(batch_ul[7], lone_ul[0])
+    assert np.array_equal(batch_dl[7], lone_dl[0])
 
 
 def test_dataset_start_index_slices_user_range():
     cfg = OfdmConfig()
     env = build_environment(EnvironmentSpec(env_id=4, seed=19))
-    full = generate_env_dataset(env, 10, 15.0, cfg)
-    tail = generate_env_dataset(env, 4, 15.0, cfg, start_index=6)
-    assert np.array_equal(full.h_ul[6:], tail.h_ul)
+    full_ul, _ = generate_env_dataset(env, 10, 15.0, cfg)
+    tail_ul, _ = generate_env_dataset(env, 4, 15.0, cfg, start_index=6)
+    assert np.array_equal(full_ul[6:], tail_ul)

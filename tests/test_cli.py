@@ -126,6 +126,12 @@ def forbid_work(monkeypatch):
         lambda d: d["train"].update(learning_rate=math.inf),
         lambda d: d["meta"].update(inner_lr=math.inf),
         lambda d: d["meta"].update(outer_lr=math.inf),
+        # a negative seed once failed in init_network after synthesis, an environment key
+        # outside signed 64-bit when the random streams were keyed
+        lambda d: d.update(seed=-3),
+        lambda d: d["environments"]["source"][0].update(seed=2**63),
+        lambda d: d["environments"]["targets"][0].update(seed=-(2**63) - 1),
+        lambda d: d["environments"]["targets"][0].update(env_id=2**63),
     ],
     ids=[
         "zero_batch_size",
@@ -152,6 +158,10 @@ def forbid_work(monkeypatch):
         "inf_learning_rate",
         "inf_inner_lr",
         "inf_outer_lr",
+        "negative_seed",
+        "env_seed_over_int64",
+        "env_seed_under_int64",
+        "env_id_over_int64",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -243,13 +253,37 @@ def test_run_rejects_a_config_broken_in_one_place_before_any_work(tmp_path, monk
     assert called == []
 
 
+def test_run_negative_profile_seed_exits_2_before_any_work(tmp_path, monkeypatch):
+    called = forbid_work(monkeypatch)
+    result = invoke("run", "--profile", "desk", "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, result.output
+    assert "config error: seed must be >= 0" in result.output
+    assert called == []
+
+
+def test_run_gain_decay_underflow_exits_3(tmp_path):
+    # a tiny positive gain_decay once underflowed every far path gain to 0 and ended in a traceback
+    cfg_path = write_config_dict(tmp_path, lambda d: d["environments"]["source"][0].update(gain_decay=1e-4))
+    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 3, result.output
+    assert "numeric failure: path gains underflow to 0" in result.output
+
+
 @st.composite
 def tiny_configs(draw):
     """A tiny config document: at most 8 samples per set, one 8-wide hidden layer and at
     most 5 steps per training.  Its values may still conflict, and the CLI must then exit 2."""
     n_adapt, n_test = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     doc = mini_config(hidden_dims=[8]).to_dict()
+    for spec in doc["environments"]["source"] + doc["environments"]["targets"]:
+        spec.update(
+            # both ranges end one past signed 64-bit
+            seed=draw(st.integers(-(2**63) - 1, 2**63)),
+            env_id=draw(st.integers(-(2**63) - 1, 2**63)),
+            gain_decay=draw(st.floats(1e-6, math.inf)),
+        )
     doc.update(
+        seed=draw(st.integers(-1, 3) | st.integers(4, 2**64)),
         scale_factor=draw(st.just(1.0) | st.floats(0.05, 1.0)),  # most scaled draws fail the size checks
         algorithms=draw(st.lists(st.sampled_from(KNOWN_ALGORITHMS), min_size=1, unique=True)),
         snr_list_db=draw(st.lists(st.sampled_from([0.0, 20.0, math.inf]), min_size=1, unique=True)),
