@@ -67,6 +67,8 @@ def run(config: str | None, out: str, seed: int | None, profile: str | None, dum
 
     def go() -> None:
         cfg = _load_config(config, profile, seed)
+        if dump_keys and len({f"{snr:g}" for snr in cfg.snr_list_db}) != len(cfg.snr_list_db):
+            raise ConfigError(f"--dump-keys names key dumps by SNR in :g form; two of {cfg.snr_list_db} print alike")
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -13,14 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 EPS_GUARD = 1e-12
 
 
 def complex_to_features(h: np.ndarray) -> np.ndarray:
-    """Concatenate real and imaginary parts along the last axis."""
+    """Concatenate real and imaginary parts along the last axis (NumericError on a non-finite value)."""
     h = np.asarray(h)
     if not np.all(np.isfinite(h.view(float))):
-        raise ValueError("input must be finite")
+        raise NumericError("non-finite channel response: does carrier frequency x delay spread overflow?")
     return np.concatenate([h.real, h.imag], axis=-1)
 
 
@@ -31,12 +33,6 @@ class Normalizer:
     col_min: np.ndarray
     col_max: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.col_min.shape != self.col_max.shape:
-            raise ValueError("col_min and col_max must have equal shape")
-        if np.any(self.col_max < self.col_min):
-            raise ValueError("col_max must be >= col_min element-wise")
-
     @property
     def degenerate(self) -> np.ndarray:
         """Boolean mask of dimensions with (numerically) zero range."""
@@ -46,8 +42,6 @@ class Normalizer:
 def fit_normalizer(train: np.ndarray) -> Normalizer:
     """Per-dimension min and max over the training set (rows are samples)."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
-    if train.shape[0] == 0:
-        raise ValueError("cannot fit a normalizer on an empty training set")
     return Normalizer(col_min=train.min(axis=0), col_max=train.max(axis=0))
 
 

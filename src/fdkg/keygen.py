@@ -38,10 +38,7 @@ def quantize_guardband(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nd
     only where ``kept`` is.  A degenerate vector (sigma below SIGMA_FLOOR)
     keeps nothing, and one warning per call counts such vectors.
     """
-    check_epsilon(epsilon)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] < 2:
-        raise ValueError("need at least 2 feature values to fit a quantizer")
     if not np.all(np.isfinite(x)):
         raise NumericError("feature vectors must be finite")
     mu = np.mean(x, axis=-1, keepdims=True)

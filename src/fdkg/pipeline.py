@@ -338,8 +338,6 @@ def nmse(
     """
     predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
     actual = np.atleast_2d(np.asarray(actual, dtype=float))
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
     norms = np.sum(actual * actual, axis=1)
     keep = norms >= NMSE_DEGENERATE_FLOOR
     n_excluded = int(np.count_nonzero(~keep))
@@ -368,10 +366,6 @@ def score_keys(
     The keys are each sample's aligned bits, in sample order, omitting
     samples that align nothing.
     """
-    if predicted.shape != actual.shape:
-        raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
-    if n_subcarriers <= 0:
-        raise ValueError(f"n_subcarriers must be positive, got {n_subcarriers}")
     ones_a, kept_a = quantize_guardband(predicted, epsilon)
     ones_b, kept_b = quantize_guardband(actual, epsilon)
     common = kept_a & kept_b

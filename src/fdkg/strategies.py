@@ -188,8 +188,6 @@ def inner_update(
     """Per-task update: g_tr full-batch gradient-descent steps on the support loss
     (returns ``global_params`` itself when g_tr is 0); ``work`` is passed to
     :func:`backward` and ``out`` to :func:`sgd_step`, which writes every step there."""
-    if support_set.n == 0:
-        raise ValueError("support set must be non-empty")
     net = global_params
     for _ in range(g_tr):
         _, grads = backward(net, support_set.inputs, support_set.targets, work)
@@ -214,10 +212,6 @@ def meta_train(
     with a plain ADAM step on the pooled query data.  Stops at the iteration
     cap or when the summed query loss plateaus.
     """
-    if len(tasks.tasks) < cfg.task_batch:
-        raise ConfigError(
-            f"task_batch {cfg.task_batch} exceeds available tasks {len(tasks.tasks)}"
-        )
     net = init.copy()  # adam_step updates it in place
     state = init_adam_state(net)
     # every task reuses one set of buffers: its gathered rows, a workspace and the adapted parameters
@@ -289,9 +283,6 @@ def partition_source_into_tasks(
     query never overlap.  The tasks hold row indices into ``source``.
     """
     n_support = check_task_split(n_tasks, samples_per_task, support_fraction)
-    needed = n_tasks * samples_per_task
-    if needed > source.n:
-        raise ConfigError(f"need {needed} samples for {n_tasks} tasks, have {source.n}")
     rng = np.random.default_rng(seed)
-    chunks = rng.permutation(source.n)[:needed].reshape(n_tasks, samples_per_task)
+    chunks = rng.permutation(source.n)[: n_tasks * samples_per_task].reshape(n_tasks, samples_per_task)
     return MetaTaskSet(source, [MetaTask(c[:n_support], c[n_support:]) for c in chunks])

@@ -132,6 +132,9 @@ def forbid_work(monkeypatch):
         lambda d: d["environments"]["source"][0].update(seed=2**63),
         lambda d: d["environments"]["targets"][0].update(seed=-(2**63) - 1),
         lambda d: d["environments"]["targets"][0].update(env_id=2**63),
+        # only the config checks these: synthesis and key scoring trust them
+        lambda d: d["ofdm"].update(n_subcarriers=0),
+        lambda d: d.update(quantizer_epsilon=0.5),
     ],
     ids=[
         "zero_batch_size",
@@ -162,6 +165,8 @@ def forbid_work(monkeypatch):
         "env_seed_over_int64",
         "env_seed_under_int64",
         "env_id_over_int64",
+        "zero_subcarriers",
+        "epsilon_one_half",
     ],
 )
 def test_run_invalid_config_exits_2_before_any_work(tmp_path, monkeypatch, edit):
@@ -269,11 +274,50 @@ def test_run_gain_decay_underflow_exits_3(tmp_path):
     assert "numeric failure: path gains underflow to 0" in result.output
 
 
+def overflow_delay_spreads(d):
+    for spec in d["environments"]["source"] + d["environments"]["targets"]:
+        spec.update(delay_spread_s=1e300)
+
+
+def overflow_carrier(d):
+    d["ofdm"].update(f_ul_hz=1e300)
+    for spec in d["environments"]["source"] + d["environments"]["targets"]:
+        spec.update(delay_spread_s=1e10)
+
+
+@pytest.mark.parametrize("snr", [20.0, math.inf])
+@pytest.mark.parametrize("overflow", [overflow_delay_spreads, overflow_carrier])
+def test_run_overflowing_carrier_phase_exits_3(tmp_path, overflow, snr):
+    # 2*pi * carrier * delay overflowing to inf once ended in a ValueError traceback (exit 1)
+    cfg_path = write_config_dict(tmp_path, lambda d: (d.update(snr_list_db=[snr], train_snr_db=snr), overflow(d)))
+    result = invoke("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 3, result.output
+    assert "numeric failure: non-finite channel response" in result.output
+
+
+def test_run_dump_keys_with_colliding_dump_names_exits_2_before_any_work(tmp_path, monkeypatch):
+    # both SNRs format as snr20, so one cell's key dump once overwrote the other's
+    called = forbid_work(monkeypatch)
+    cfg_path = write_config_dict(tmp_path, lambda d: d.update(snr_list_db=[20.0, 20.0000001]))
+    result = invoke("run", "--dump-keys", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, result.output
+    assert "config error: --dump-keys" in result.output
+    assert called == []
+    assert not (tmp_path / "o").exists()
+
+
 @st.composite
 def tiny_configs(draw):
-    """A tiny config document: at most 8 samples per set, one 8-wide hidden layer and at
-    most 5 steps per training.  Its values may still conflict, and the CLI must then exit 2."""
-    n_adapt, n_test = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    """A tiny config document: at most 8 samples per set once scaled, one 8-wide hidden
+    layer and at most 5 steps per training.  Carriers and delay spreads are physical, but
+    about one document in ten has a target whose carrier phase 2*pi*f*delay overflows.
+    Its values may still conflict, and the CLI must then exit 2."""
+    scale = draw(st.just(1.0) | st.floats(0.05, 1.0))
+
+    def unscaled(n):
+        """The count that scale_factor maps back to exactly n (n / scale lies within 1/2 of it)."""
+        return round(n / scale)
+
     doc = mini_config(hidden_dims=[8]).to_dict()
     for spec in doc["environments"]["source"] + doc["environments"]["targets"]:
         spec.update(
@@ -281,24 +325,40 @@ def tiny_configs(draw):
             seed=draw(st.integers(-(2**63) - 1, 2**63)),
             env_id=draw(st.integers(-(2**63) - 1, 2**63)),
             gain_decay=draw(st.floats(1e-6, math.inf)),
+            delay_spread_s=draw(st.floats(1e-9, 1e-5)),
         )
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from(doc["environments"]["targets"])).update(delay_spread_s=1e300)
+    doc["ofdm"].update(f_ul_hz=draw(st.floats(1e8, 1e11)), f_dl_hz=draw(st.floats(1e8, 1e11)))
     doc.update(
         seed=draw(st.integers(-1, 3) | st.integers(4, 2**64)),
-        scale_factor=draw(st.just(1.0) | st.floats(0.05, 1.0)),  # most scaled draws fail the size checks
+        scale_factor=scale,
         algorithms=draw(st.lists(st.sampled_from(KNOWN_ALGORITHMS), min_size=1, unique=True)),
         snr_list_db=draw(st.lists(st.sampled_from([0.0, 20.0, math.inf]), min_size=1, unique=True)),
         compute_randomness=draw(st.booleans()),
     )
-    n_target = draw(st.integers(n_adapt + n_test, 8))
-    doc["sizes"] = dict(n_source=draw(st.integers(1, 8)), n_target=n_target, n_adapt=n_adapt, n_test=n_test)
+    # hypothesis draws the low end of a range far more often than the high end, so n_source
+    # counts down from 8 and a single source sample (exit 2) is a rare draw; a target set
+    # may also round below n_adapt + n_test once scaled and exit 2
+    n_source, n_adapt, n_test = 9 - draw(st.integers(1, 8)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    n_spare = draw(st.integers(0, 8 - n_adapt - n_test))
+    doc["sizes"] = dict(
+        n_source=unscaled(n_source),
+        n_target=unscaled(n_adapt) + unscaled(n_test) + unscaled(n_spare),
+        n_adapt=unscaled(n_adapt),
+        n_test=unscaled(n_test),
+    )
     doc["train"].update(batch_size=draw(st.integers(1, 8)), max_iterations=draw(st.integers(0, 5)))
+    # meta tasks overfill the source (exit 2) only when n_source < samples_per_task
+    samples_per_task = draw(st.integers(2, 4))
+    n_tasks = draw(st.integers(1, max(1, n_source // samples_per_task)))
+    doc["meta_tasks"].update(n_tasks=unscaled(n_tasks), samples_per_task=samples_per_task)
     doc["meta"].update(
         inner_steps=draw(st.integers(1, 2)),
-        task_batch=draw(st.integers(1, 3)),
+        task_batch=draw(st.integers(1, n_tasks)),
         adapt_steps=draw(st.integers(0, 5)),
         max_meta_iterations=draw(st.integers(1, 5)),
     )
-    doc["meta_tasks"].update(n_tasks=draw(st.integers(1, 4)), samples_per_task=draw(st.integers(2, 4)))
     return doc
 
 

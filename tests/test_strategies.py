@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fdkg.errors import ConfigError
 from fdkg.neuralnet import (
     Gradients,
     NetworkParams,
@@ -151,17 +150,7 @@ def task_set(parts: list[tuple[PairSet, PairSet]]) -> MetaTaskSet:
     return MetaTaskSet(source=PairSet.concat([p for pair in parts for p in pair]), tasks=tasks)
 
 
-def single_task_set(seed: int = 0, n: int = 16) -> MetaTaskSet:
-    data = toy_pairs(2 * n, seed=seed)
-    return MetaTaskSet(source=data, tasks=[MetaTask(support=np.arange(n), query=np.arange(n, 2 * n))])
-
-
 class TestMetaTrain:
-    def test_task_batch_exceeding_tasks_is_config_error(self):
-        tasks = single_task_set()
-        with pytest.raises(ConfigError):
-            meta_train(init_network([6, 8, 6], seed=0), tasks, MetaConfig(task_batch=2))
-
     def test_zero_alpha_single_iteration_equals_pooled_adam(self):
         # with no inner step the meta-update must coincide with one plain
         # ADAM step on the pooled query batch
@@ -256,10 +245,6 @@ class TestPartition:
             support_ids = set(tasks.source.inputs[t.support, 0].tolist())
             query_ids = set(tasks.source.inputs[t.query, 0].tolist())
             assert not support_ids & query_ids
-
-    def test_insufficient_data_errors(self):
-        with pytest.raises(ConfigError):
-            partition_source_into_tasks(toy_pairs(99), n_tasks=1, samples_per_task=100)
 
     def test_tasks_draw_from_the_whole_pool(self):
         # a pooled two-environment source set: first half labelled 1, second half 2
