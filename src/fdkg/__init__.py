@@ -3,9 +3,9 @@
 import os as _os
 import sys as _sys
 
-# One BLAS thread per call, so that independent model chains can train on
-# separate cores (fdkg.pipeline).  BLAS reads these when numpy loads it; if
-# numpy came first, or a variable is set to anything but 1, chains run serially.
+# One BLAS thread per call, so that independent trainings can run on separate
+# cores (fdkg.pipeline).  BLAS reads these when numpy loads it; if numpy came
+# first, or a variable is set to anything but 1, they run one after another.
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _BLAS_PINNED = "numpy" not in _sys.modules
 if _BLAS_PINNED:

@@ -155,7 +155,9 @@ def _tap_dft_block(n_paths: int, n_subcarriers: int) -> np.ndarray:
 
 def cfr(paths: PathParams, f: float, cfg: OfdmConfig) -> np.ndarray:
     """Channel frequency response at carrier ``f`` over all subcarriers."""
-    coeff = paths.gains * np.exp(-1j * TWO_PI * f * paths.delays + 1j * paths.phases)
+    # a phase that overflows yields a non-finite response, which features.py reports as the one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = paths.gains * np.exp(-1j * TWO_PI * f * paths.delays + 1j * paths.phases)
     return coeff @ _tap_dft_block(paths.n_paths, cfg.n_subcarriers)
 
 

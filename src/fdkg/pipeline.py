@@ -46,6 +46,7 @@ from .keygen import check_epsilon, quantize_guardband
 from .neuralnet import NetworkParams, TrainConfig, forward, init_network
 from .randomness import run_battery
 from .strategies import (
+    ADAPT_BATCH_SIZE,
     MetaConfig,
     PairSet,
     adapt,
@@ -432,34 +433,55 @@ def _prepare_data(cfg: ExperimentConfig) -> tuple[PairSet, list[_TargetData]]:
 _Cell = tuple[ReportRow, list[RandomnessRow]]
 
 
-def _model_chains(
-    cfg: ExperimentConfig, init: NetworkParams, source_pairs: PairSet, targets: list[_TargetData], key_sink
-) -> list[Callable[[], list[_Cell]]]:
-    """The run's independent model chains, in queue order: meta-training with
-    the ``meta`` adaptations, one ``joint`` training per target, source
-    pretraining with the ``direct`` and ``dtl`` models, and the ``identity``
-    cells.  (On two cores the benchmark's desk workload ran as fast in this
-    order as with pretraining first, and its peak RSS was 5 MB lower.)  A chain
-    scores each network's cells as soon as it has trained it and returns the
-    cells, so no network outlives its chain.  Within a chain the order and the
-    seeds are fixed, so the cells do not depend on which chains run at the same
-    time.
+@dataclass(frozen=True)
+class _Job:
+    """One entry of a run's queue.  ``work()`` does it and returns the
+    ``n_follow_ups`` jobs it makes ready; ``estimate`` is the work left until
+    the last of those ends (optimizer steps x rows per step, this job's plus
+    its longest follow-up's)."""
 
-    The chains call ``train_supervised``, ``meta_train``, ``adapt``,
-    ``forward``, ``nmse``, ``score_keys`` and ``run_battery`` by their
-    module-global names, so wrappers set on this module see every call.
+    estimate: int
+    work: Callable[[], list["_Job"]]
+    n_follow_ups: int = 0
+
+
+def _model_jobs(
+    cfg: ExperimentConfig,
+    init: NetworkParams,
+    source_pairs: PairSet,
+    targets: list[_TargetData],
+    key_sink,
+    cells: list[_Cell],
+) -> list[_Job]:
+    """The run's jobs, in queue order: meta-training, one ``joint`` training per
+    target, source pretraining, which also scores ``direct``, and the
+    ``identity`` cells.  A finished meta-training or pretraining returns one
+    adaptation job per target (``meta`` or ``dtl``).  A job scores the cells of
+    each network it trains as soon as it has it and appends them to ``cells``,
+    so no network outlives the jobs that read it.  Every job keeps its own
+    seeds, so the cells do not depend on which jobs run at the same time.
+
+    The estimates come from the config alone.  The jobs call
+    ``train_supervised``, ``meta_train``, ``adapt``, ``forward``, ``nmse``,
+    ``score_keys`` and ``run_battery`` by their module-global names, so
+    wrappers set on this module see every call.
     """
-    algorithms = cfg.algorithms
+    algorithms, sizes, meta, split = cfg.algorithms, cfg.sizes, cfg.meta, cfg.meta_tasks
     clock = time.perf_counter if cfg.record_wall_time else (lambda: 0.0)
     if cfg.record_wall_time and _BLAS_PINNED:
         # with one BLAS thread a stage computes only on its own thread, so that
         # thread's CPU time is the stage's time alone, whatever runs beside it
         clock = time.thread_time
-    adapt_seeds = [cfg.seed + 307 + env_idx for env_idx in range(len(targets))]
+    n_pool = sizes.n_source * len(cfg.environments.source)
+    supervised_work = lambda n_rows: cfg.train.max_iterations * min(cfg.train.batch_size, n_rows)
+    adapt_work = meta.adapt_steps * min(ADAPT_BATCH_SIZE, sizes.n_adapt)
+    n_support = check_task_split(split.n_tasks, split.samples_per_task, split.support_fraction)
+    task_rows = meta.inner_steps * n_support + split.samples_per_task - n_support
+    meta_work = meta.max_meta_iterations * meta.task_batch * task_rows
 
-    def score(alg: str, target: _TargetData, net: NetworkParams | None, prep_time: float) -> list[_Cell]:
-        """The cells of ``net`` (None predicts the input) on ``target``, one per test SNR."""
-        env_id, cells = target.spec.env_id, []
+    def score(alg: str, target: _TargetData, net: NetworkParams | None, prep_time: float) -> None:
+        """Append the cells of ``net`` (None predicts the input) on ``target``, one per test SNR."""
+        env_id = target.spec.env_id
         for snr in cfg.snr_list_db:
             test = target.test_pairs[snr]
             t0 = clock()
@@ -476,88 +498,108 @@ def _model_chains(
                 for b in battery
             ]
             cells.append((row, randomness))
-        return cells
 
-    def adapted_cells(kind: str, net: NetworkParams, elapsed: float) -> list[_Cell]:
-        cells = []
-        for target, seed in zip(targets, adapt_seeds):
-            t0 = clock()
-            tuned = adapt(net, target.adapt_pairs, cfg.meta, seed=seed)
-            cells += score(kind, target, tuned, elapsed + (clock() - t0))
-        return cells
+    def adapted(kind: str, target: _TargetData, seed: int, net: NetworkParams, elapsed: float) -> list[_Job]:
+        t0 = clock()
+        tuned = adapt(net, target.adapt_pairs, meta, seed=seed)
+        score(kind, target, tuned, elapsed + (clock() - t0))
+        return []
 
-    def pretrain_chain():
+    def adaptations(kind: str, net: NetworkParams, elapsed: float) -> list[_Job]:
+        """One job per target that adapts ``net``, trained in ``elapsed``, and scores its ``kind`` cells."""
+        return [
+            _Job(adapt_work, functools.partial(adapted, kind, target, cfg.seed + 307 + env_idx, net, elapsed))
+            for env_idx, target in enumerate(targets)
+        ]
+
+    def pretrain() -> list[_Job]:
         t0 = clock()
         pretrained = train_supervised(init, source_pairs, cfg.train, seed=cfg.seed)
         elapsed = clock() - t0
-        direct = targets if "direct" in algorithms else []
-        cells = [cell for target in direct for cell in score("direct", target, pretrained, elapsed)]
-        if "dtl" in algorithms:
-            cells += adapted_cells("dtl", pretrained, elapsed)
-        return cells
+        for target in targets if "direct" in algorithms else []:
+            score("direct", target, pretrained, elapsed)
+        return adaptations("dtl", pretrained, elapsed) if "dtl" in algorithms else []
 
-    def joint_chain(target: _TargetData):
+    def joint(target: _TargetData) -> list[_Job]:
         t0 = clock()
         net = train_supervised(init, PairSet.concat([source_pairs, target.adapt_pairs]), cfg.train, seed=cfg.seed)
-        return score("joint", target, net, clock() - t0)
+        score("joint", target, net, clock() - t0)
+        return []
 
-    def meta_chain():
-        split = cfg.meta_tasks
+    def meta_training() -> list[_Job]:
         tasks = partition_source_into_tasks(
             source_pairs, split.n_tasks, split.samples_per_task, split.support_fraction, seed=cfg.seed + 101
         )
         t0 = clock()
-        meta_init = meta_train(init, tasks, cfg.meta, seed=cfg.seed + 211)
-        return adapted_cells("meta", meta_init, clock() - t0)
+        meta_init = meta_train(init, tasks, meta, seed=cfg.seed + 211)
+        return adaptations("meta", meta_init, clock() - t0)
 
-    chains = []
+    def identity() -> list[_Job]:
+        for target in targets:
+            score("identity", target, None, 0.0)
+        return []
+
+    n_targets = len(targets)
+    jobs = []
     if "meta" in algorithms:
-        chains.append(meta_chain)
+        jobs.append(_Job(meta_work + adapt_work, meta_training, n_targets))
     if "joint" in algorithms:
-        chains.extend(functools.partial(joint_chain, target) for target in targets)
+        joint_work = supervised_work(n_pool + sizes.n_adapt)
+        jobs.extend(_Job(joint_work, functools.partial(joint, target)) for target in targets)
     if "direct" in algorithms or "dtl" in algorithms:
-        chains.append(pretrain_chain)
+        dtl = "dtl" in algorithms
+        jobs.append(_Job(supervised_work(n_pool) + dtl * adapt_work, pretrain, dtl * n_targets))
     if "identity" in algorithms:
-        chains.append(lambda: [cell for target in targets for cell in score("identity", target, None, 0.0)])
-    return chains
+        jobs.append(_Job(0, identity))
+    return jobs
 
 
-def _chain_width(n_chains: int) -> int:
-    """Threads that run the model chains: one per usable core, at most one per
-    chain, and 1 (serial) unless every BLAS call runs on one thread."""
+def _chain_width(n_jobs: int) -> int:
+    """Threads that run the jobs: one per usable core, at most one per job the
+    run will ever have (``n_jobs``, follow-ups included), and 1 (serial)
+    unless every BLAS call runs on one thread."""
     if not _BLAS_PINNED:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    return max(1, min(cores, n_chains))
+    return max(1, min(cores, n_jobs))
 
 
-def _run_chains(chains: list[Callable], width: int) -> list:
-    """Run ``chains`` on this thread and ``width - 1`` helper threads, which
-    take them in order from one shared queue; return their results in chain
-    order.  Once a chain raises, no further chain starts, and its error is
-    raised here after the chains already running have ended.  An interrupt
-    (Ctrl-C) also starts no further chain but is raised at once: the helpers
-    are daemon threads, so the process need not wait for their chains."""
-    results: list = [None] * len(chains)
-    queue = iter(enumerate(chains))
-    lock = threading.Lock()
+def _run_jobs(jobs: list[_Job], width: int) -> None:
+    """Run ``jobs``, and the jobs they return, on this thread and ``width - 1``
+    helper threads.  A free thread takes the ready job with the largest
+    estimate (the first queued among equals), or waits while a running job
+    may still return more.  Once a job raises, no further job starts, and its
+    error is raised here after the jobs already running have ended.  An
+    interrupt (Ctrl-C) also starts no further job but is raised at once: the
+    helpers are daemon threads, so the process need not wait for their jobs."""
+    ready = list(jobs)  # in queue order; scanning it per pick costs little next to any job
+    cond = threading.Condition()
     errors: list[BaseException] = []
+    running = 0
 
     def work() -> None:
+        nonlocal running
         while True:
-            with lock:
-                item = None if errors else next(queue, None)
-            if item is None:
-                return
-            idx, chain = item
+            with cond:
+                while not (errors or ready) and running:
+                    cond.wait()
+                if errors or not ready:
+                    return
+                # max() returns the first of equal maxima, so ties go in queue order
+                job = ready.pop(max(range(len(ready)), key=lambda i: ready[i].estimate))
+                running += 1
             try:
-                results[idx] = chain()
+                new = job.work()
             except Exception as exc:
-                with lock:
-                    errors.append(exc)
+                new = []
+                errors.append(exc)
+            with cond:
+                running -= 1
+                ready.extend(new)
+                cond.notify_all()
 
     helpers = [threading.Thread(target=work, daemon=True) for _ in range(width - 1)]
     for helper in helpers:
@@ -567,31 +609,35 @@ def _run_chains(chains: list[Callable], width: int) -> list:
         for helper in helpers:
             helper.join()
     except BaseException as exc:
-        with lock:
+        with cond:
             errors.append(exc)
+            cond.notify_all()
         raise
     if errors:
         raise errors[0]
-    return results
 
 
 def _run_group(cfgs: list[ExperimentConfig], key_sink=None) -> list[ExperimentReport]:
     """The reports of scaled configs with the same data and initial network (the
     values of one sweep on any axis but ``n_ad``): those are made once, from
-    ``cfgs[0]``, and the model chains of all of them share one queue."""
+    ``cfgs[0]``, and the jobs of all of them share one queue."""
     source_pairs, targets = _prepare_data(cfgs[0])
     dim = 2 * cfgs[0].ofdm.n_subcarriers
     init = init_network([dim, *cfgs[0].hidden_dims, dim], seed=cfgs[0].seed)
-    runs = [_model_chains(cfg, init, source_pairs, targets, key_sink) for cfg in cfgs]
-    results = iter(_run_chains([chain for run in runs for chain in run], _chain_width(sum(map(len, runs)))))
+    cells: list[list[_Cell]] = [[] for _ in cfgs]
+    jobs = [
+        job
+        for cfg, run_cells in zip(cfgs, cells)
+        for job in _model_jobs(cfg, init, source_pairs, targets, key_sink, run_cells)
+    ]
+    _run_jobs(jobs, _chain_width(sum(1 + job.n_follow_ups for job in jobs)))
     order = {alg: i for i, alg in enumerate(KNOWN_ALGORITHMS)}
     reports = []
-    for run in runs:
-        cells = sorted(
-            (cell for _ in run for cell in next(results)),
-            key=lambda cell: (order[cell[0].algorithm], cell[0].env, cell[0].snr_db),
+    for run_cells in cells:
+        run_cells.sort(key=lambda cell: (order[cell[0].algorithm], cell[0].env, cell[0].snr_db))
+        reports.append(
+            ExperimentReport(rows=[row for row, _ in run_cells], randomness=[r for _, rs in run_cells for r in rs])
         )
-        reports.append(ExperimentReport(rows=[row for row, _ in cells], randomness=[r for _, rs in cells for r in rs]))
     return reports
 
 
@@ -600,8 +646,8 @@ def run_pipeline(cfg: ExperimentConfig, key_sink=None) -> ExperimentReport:
 
     ``key_sink(algorithm, env_id, snr_db, alice_keys, bob_keys)`` is called
     once per cell when given, e.g. to write ASCII key dumps for external
-    randomness suites.  Cells are scored by the chain that trained their
-    model, so the sink may be called from pool threads, for several cells at
+    randomness suites.  Cells are scored by the job that trained or adapted
+    their model, so the sink may be called from pool threads, for several cells at
     once and in any order.
     """
     return _run_group([apply_scale(cfg)], key_sink)[0]
@@ -634,7 +680,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
     The SNR axis is a single run (training is shared across test SNRs);
     other axes train every value's models.  An ``n_ad`` value changes the
     data, so each one synthesizes its own and runs alone; the values of the
-    other axes share one dataset, and their model chains run in one queue.
+    other axes share one dataset, and their jobs run in one queue.
     Report and randomness rows carry the axis name and value for plot-ready
     long-format output.
     """

@@ -287,6 +287,8 @@ def overflow_carrier(d):
 
 @pytest.mark.parametrize("snr", [20.0, math.inf])
 @pytest.mark.parametrize("overflow", [overflow_delay_spreads, overflow_carrier])
+# numpy's overflow warnings once printed the failure a second time, before the numeric failure line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_overflowing_carrier_phase_exits_3(tmp_path, overflow, snr):
     # 2*pi * carrier * delay overflowing to inf once ended in a ValueError traceback (exit 1)
     cfg_path = write_config_dict(tmp_path, lambda d: (d.update(snr_list_db=[snr], train_snr_db=snr), overflow(d)))

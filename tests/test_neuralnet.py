@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -297,18 +299,42 @@ def test_chunked_adam_bitwise_equal_to_whole_vector_formula():
     rng = np.random.default_rng(21)
     net = NetworkParams.from_flat(dims, rng.normal(size=n), "linear")
     state = init_adam_state(net)
-    assert [s.size for s in state.scratch] == [ADAM_CHUNK, ADAM_CHUNK]
+    assert state.scratch.shape == (ADAM_CHUNK,)
     theta, m, v = net.flat.copy(), np.zeros(n), np.zeros(n)
     lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in (1, 2, 3):
         g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
         adam_step(net, Gradients.from_flat(dims, g), state, lr)
-        # the former whole-vector update, operation for operation
-        m = m * r1 + g * (1.0 - r1)
-        v = v * r2 + g * g * (1.0 - r2)
-        theta = theta - m / (1.0 - r1**t) * lr / (np.sqrt(v / (1.0 - r2**t)) + eps)
+        # the folded whole-vector update, operation for operation
+        root_c2 = math.sqrt(1.0 - r2**t)
+        m = (m - g) * r1 + g
+        v = (v - g * g) * r2 + g * g
+        theta = theta - m / (np.sqrt(v) + eps * root_c2) * (lr * root_c2 / (1.0 - r1**t))
         for got, want in ((net.flat, theta), (state.m, m), (state.v, v)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_adam_agrees_with_textbook_update():
+    # Kingma & Ba (arXiv:1412.6980), Algorithm 1, over two chunks and several steps.  The
+    # gradients are positive and the parameters start at 0, so m, v and theta are each a
+    # one-signed sum: rounding stays relative to them in both forms, and no value
+    # cancels to near 0, where any two orders of operations differ relatively by far more
+    n = ADAM_CHUNK + 1000
+    dims = (n - 1, 1)
+    rng = np.random.default_rng(22)
+    net = NetworkParams.from_flat(dims, np.zeros(n), "linear")
+    state = init_adam_state(net)
+    theta, m, v = np.zeros(n), np.zeros(n), np.zeros(n)
+    lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
+    for t in range(1, 9):
+        g = np.exp(rng.normal(scale=3.0, size=n))  # spans about 8 decades around 1
+        adam_step(net, Gradients.from_flat(dims, g), state, lr)
+        m = r1 * m + (1.0 - r1) * g
+        v = r2 * v + (1.0 - r2) * g * g
+        theta = theta - lr * (m / (1.0 - r1**t)) / (np.sqrt(v / (1.0 - r2**t)) + eps)
+        for got, want in ((net.flat, theta), (state.m, m), (state.v, v)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert state.step_count == 8
 
 
 @pytest.mark.parametrize("head", ["sigmoid", "linear"])
@@ -328,6 +354,16 @@ def test_workspace_backward_bit_identical_to_fresh_call(head):
         backward(net, np.zeros((129, 16)), np.zeros((129, 8)), work)
     with pytest.raises(ValueError):
         backward(init_network([16, 8], seed=5), np.zeros((4, 16)), np.zeros((4, 8)), work)
+
+
+@pytest.mark.parametrize("head, bad", [("sigmoid", np.nan), ("linear", np.nan), ("linear", 1e300)])
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+def test_backward_rejects_non_finite_loss(head, bad):
+    net = init_network([3, 4, 2], seed=2, output_activation=head)
+    x = np.random.default_rng(0).uniform(0.1, 0.9, (5, 3))
+    x[2] = bad  # a NaN row, or one whose linear outputs square past the float range
+    with pytest.raises(FloatingPointError, match="non-finite training loss"):
+        backward(net, x, np.full((5, 2), 0.5), Workspace(net, 8))
 
 
 def test_backward_without_workspace_returns_unaliased_gradients():

@@ -20,6 +20,8 @@ from fdkg.pipeline import (
     ExperimentReport,
     Sizes,
     TaskSplitConfig,
+    _Job,
+    _run_jobs,
     _with_axis,
     apply_scale,
     desk_profile,
@@ -266,8 +268,13 @@ def two_target_config() -> ExperimentConfig:
     return replace(cfg, environments=replace(cfg.environments, targets=[target, second]))
 
 
+def job(fn, estimate: int = 0, then: tuple = ()) -> _Job:
+    """A queue job that calls ``fn`` and then makes the jobs ``then`` ready."""
+    return _Job(estimate, lambda: (fn(), list(then))[1], len(then))
+
+
 class TestModelChains:
-    """Model chains run concurrently when BLAS is pinned to one thread; the test
+    """A run's jobs run concurrently when BLAS is pinned to one thread; the test
     modules import numpy before fdkg (width 1), so these tests set the width."""
 
     @staticmethod
@@ -298,18 +305,16 @@ class TestModelChains:
         for name in ("train_supervised", "meta_train", "adapt"):
             monkeypatch.setattr(pipeline, name, functools.partial(diverge, _name=name))
         self.set_width(monkeypatch, width)
-        # five chains in queue order: meta, joint env 2, joint env 3, pretrain, identity;
-        # each but identity fails at its first training call, so a call marks a started chain
+        # five jobs, longest estimate first: pretrain, joint env 2, joint env 3, meta, identity;
+        # each but identity fails at its first training call, so a call marks a started job
         with pytest.raises(FloatingPointError):
             run_pipeline(two_target_config())
         assert 1 <= len(calls) <= width and "adapt" not in calls
         if width == 1:
-            assert calls == ["meta_train"]
+            assert calls == ["train_supervised"]
 
     def test_runner_starts_nothing_after_a_failure(self):
         import threading
-
-        from fdkg.pipeline import _run_chains
 
         slow_started, started = threading.Event(), []
 
@@ -324,16 +329,14 @@ class TestModelChains:
             time.sleep(0.2)  # still running while the failure is recorded
             return "done"
 
-        later = lambda: started.append("later")
+        later = job(lambda: started.append("later"))
         with pytest.raises(ZeroDivisionError, match="chain 0"):
-            _run_chains([fail, slow, later, later], width=2)
+            _run_jobs([job(fail), job(slow), later, later], width=2)
         assert sorted(started) == ["fail", "slow"]
 
     def test_interrupt_stops_the_queue_without_waiting_for_helpers(self):
         import _thread
         import threading
-
-        from fdkg.pipeline import _run_chains
 
         both, release, started, threads = threading.Barrier(2), threading.Event(), [], []
 
@@ -347,10 +350,10 @@ class TestModelChains:
                 time.sleep(0.005)
             return "done"
 
-        later = lambda: started.append("later")
+        later = job(lambda: started.append("later"))
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            _run_chains([slow, slow, later], width=2)
+            _run_jobs([job(slow), job(slow), later], width=2)
         assert time.monotonic() - t0 < 2.0  # the helper's chain was still running
         release.set()
         for thread in threads:
@@ -399,21 +402,131 @@ class TestModelChains:
     def test_runner_runs_every_chain_once_under_fast_switching(self):
         import sys
 
-        from fdkg.pipeline import _run_chains
-
         runs = [0] * 300
 
         def chain(i):
             runs[i] += 1
-            return i
 
+        counted = lambda i, estimate=0, then=(): job(functools.partial(chain, i), estimate, then)
+        # 100 jobs of mixed estimates, each of which makes two more ready when it ends
+        jobs = [counted(i, i % 7, (counted(100 + 2 * i), counted(101 + 2 * i))) for i in range(100)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:  # more threads than cores, switching as often as possible
-            results = _run_chains([functools.partial(chain, i) for i in range(300)], width=8)
+            _run_jobs(jobs, width=8)
         finally:
             sys.setswitchinterval(interval)
-        assert results == list(range(300)) and runs == [1] * 300
+        assert runs == [1] * 300
+
+
+class TestJobQueue:
+    def test_follow_up_runs_exactly_once(self):
+        runs = []
+        training = job(lambda: runs.append("training"), then=(job(lambda: runs.append("follow-up")),))
+        for width in (1, 2, 3):
+            runs.clear()
+            _run_jobs([training, job(lambda: runs.append("other"))], width)
+            assert sorted(runs) == ["follow-up", "other", "training"]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_failing_follow_up_stops_the_queue_after_running_jobs_end(self, width):
+        import threading
+
+        slow_started, failing, events = threading.Event(), threading.Event(), []
+
+        def fail():
+            events.append("fail")
+            failing.set()
+            raise ZeroDivisionError("follow-up")
+
+        def slow():
+            slow_started.set()
+            failing.wait(5.0)
+            time.sleep(0.1)  # still running while the failure is recorded
+            events.append("slow done")
+
+        def train():
+            slow_started.wait(5.0)  # both threads are busy before the follow-up is made
+            events.append("training")
+
+        later = job(lambda: events.append("later"))
+        if width == 1:
+            jobs = [job(lambda: events.append("training"), 3, then=(job(fail, 2),)), later]
+        else:  # the training and the slow job start first; then the follow-up outranks ``later``
+            jobs = [job(train, 3, then=(job(fail, 2),)), job(slow, 1), later]
+        with pytest.raises(ZeroDivisionError, match="follow-up"):
+            _run_jobs(jobs, width)
+        assert events == ["training", "fail"] + ["slow done"] * (width - 1)  # raised once the slow job ended
+
+    def test_one_thread_takes_the_longest_estimate_first(self):
+        order = []
+        mark = lambda name, estimate, then=(): job(lambda: order.append(name), estimate, then)
+        jobs = [
+            mark("short", 1),
+            mark("training a", 20, then=(mark("adapt a1", 5), mark("adapt a2", 5))),
+            mark("middle", 10),
+            mark("middle, queued later", 10),
+            mark("zero", 0),
+        ]
+        _run_jobs(jobs, width=1)
+        assert order == ["training a", "middle", "middle, queued later", "adapt a1", "adapt a2", "short", "zero"]
+
+    def test_meta_only_run_adapts_to_both_targets_at_once(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        cfg = replace(two_target_config(), algorithms=["meta"])
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_jobs: 1)
+        serial = run_pipeline(cfg)
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_jobs: 2)
+        callers = meet_first_calls(monkeypatch, pipeline, "adapt")  # the two adaptations run at once
+        assert run_pipeline(cfg) == serial
+        assert len(set(callers)) == 2
+
+    def test_width_counts_every_job_the_run_will_have(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        asked = []
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_jobs: asked.append(n_jobs) or 1)
+        run_pipeline(two_target_config())
+        run_pipeline(replace(two_target_config(), algorithms=["meta"]))
+        # meta + 2 adaptations, 2 joint, pretrain + 2 dtl adaptations, identity; then meta alone
+        assert asked == [9, 3]
+
+    def test_pipeline_at_width_one_runs_adaptations_after_their_training(self, monkeypatch):
+        import fdkg.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "_chain_width", lambda n_jobs: 1)
+        calls, made_by = [], {}
+
+        def recorded(name):
+            real = getattr(pipeline, name)
+
+            def call(net, data, cfg, **kwargs):
+                if name == "adapt":
+                    calls.append(("adapt", made_by[id(net)], data.n))
+                else:
+                    calls.append((name, data.n if name == "train_supervised" else len(data.tasks)))
+                out = real(net, data, cfg, **kwargs)
+                made_by[id(out)] = name
+                return out
+
+            monkeypatch.setattr(pipeline, name, call)
+
+        for name in ("train_supervised", "meta_train", "adapt"):
+            recorded(name)
+        run_pipeline(two_target_config())
+        # estimates in rows: pretrain 40 x 16 + a dtl adaptation's 10 x 24 = 880, joint 40 x 16 = 640,
+        # meta 3 x 2 x (10 + 10) + 240 = 360, each adaptation 240 (dtl queued before meta)
+        assert calls == [
+            ("train_supervised", 120),
+            ("train_supervised", 144),
+            ("train_supervised", 144),
+            ("meta_train", 4),
+            ("adapt", "train_supervised", 24),
+            ("adapt", "train_supervised", 24),
+            ("adapt", "meta_train", 24),
+            ("adapt", "meta_train", 24),
+        ]
 
 
 def meet_first_calls(monkeypatch, module, name: str, parties: int = 2) -> list[int]:
