@@ -37,6 +37,14 @@ def _load_config(config: str | None, profile: str | None, seed: int | None) -> E
     return base(seed if seed is not None else 0)
 
 
+def _create_out(out: str, create):
+    """``create()``, which makes the ``--out`` path; an OSError from it is a config error."""
+    try:
+        return create()
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out {out}: {exc.strerror or exc}") from exc
+
+
 def _guarded(fn):
     try:
         fn()
@@ -70,7 +78,7 @@ def run(config: str | None, out: str, seed: int | None, profile: str | None, dum
         if dump_keys and len({f"{snr:g}" for snr in cfg.snr_list_db}) != len(cfg.snr_list_db):
             raise ConfigError(f"--dump-keys names key dumps by SNR in :g form; two of {cfg.snr_list_db} print alike")
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _create_out(out, lambda: out_dir.mkdir(parents=True, exist_ok=True))
 
         sink = None
         if dump_keys:
@@ -110,9 +118,15 @@ def sweep_cmd(
         except ValueError as exc:
             raise ConfigError(f"bad sweep values {values!r}: {exc}") from exc
         cfg = _load_config(config, profile, seed)
-        report = run_sweep(cfg, axis, parsed)
         out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        made = not out_dir.exists()
+        _create_out(out, lambda: out_dir.mkdir(parents=True, exist_ok=True))
+        try:
+            report = run_sweep(cfg, axis, parsed)
+        except Exception:
+            if made:  # the reports come last, so a failed sweep leaves its new out dir empty
+                out_dir.rmdir()
+            raise
         emit_report(report, "csv", out_dir / f"sweep_{axis}.csv")
         emit_report(report, "json", out_dir / f"sweep_{axis}.json")
         click.echo(f"wrote {out_dir / f'sweep_{axis}.csv'}")
@@ -130,8 +144,8 @@ def nist(keys_path: str, out_path: str) -> None:
         keys = read_key_dump(keys_path)
         if not keys:
             raise ConfigError(f"{keys_path}: no keys found")
-        rows = run_battery(keys)
-        with open(out_path, "w", newline="") as fh:
+        with _create_out(out_path, lambda: open(out_path, "w", newline="")) as fh:
+            rows = run_battery(keys)
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["test", "mode", "params", "n_keys", "n_applicable", "pass_ratio", "p_values"])
             for row in rows:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
 RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 ADAM_EPS = 1e-8
@@ -40,34 +38,13 @@ def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], l
     return weights, biases
 
 
-def _pack(weights: list[np.ndarray], biases: list[np.ndarray]) -> np.ndarray:
-    parts = [np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)]
-    return np.concatenate(parts).astype(float, copy=False)
-
-
 class NetworkParams:
-    """Dense-layer parameters in one float64 vector ``flat``: per layer the
-    row-major weights (shape (dims[m+1], dims[m])) followed by the bias.
-    ``weights[m]`` and ``biases[m]`` are views into ``flat``; the constructor
-    copies the given arrays into a new vector."""
+    """Dense-layer parameters in one float64 vector ``flat`` (not copied): per
+    layer the row-major weights (shape (dims[m+1], dims[m])) followed by the
+    bias.  ``weights[m]`` and ``biases[m]`` are views into ``flat``."""
 
-    def __init__(self, layer_dims, weights, biases, output_activation: str = "sigmoid") -> None:
+    def __init__(self, layer_dims, flat: np.ndarray, output_activation: str) -> None:
         dims = tuple(int(d) for d in layer_dims)
-        if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-            raise ValueError("weights/biases count must be len(dims) - 1")
-        for m, (w, b) in enumerate(zip(weights, biases)):
-            if np.shape(w) != (dims[m + 1], dims[m]) or np.shape(b) != (dims[m + 1],):
-                raise ValueError(f"layer {m}: shape {np.shape(w)}/{np.shape(b)} breaks the chain {dims}")
-        self._bind(dims, _pack(weights, biases), output_activation)
-
-    @classmethod
-    def from_flat(cls, layer_dims, flat: np.ndarray, output_activation: str = "sigmoid") -> "NetworkParams":
-        """Wrap ``flat`` (not copied) as the parameters of a network with these dims."""
-        net = cls.__new__(cls)
-        net._bind(tuple(int(d) for d in layer_dims), flat, output_activation)
-        return net
-
-    def _bind(self, dims: tuple[int, ...], flat: np.ndarray, output_activation: str) -> None:
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"invalid layer dims {dims}")
         if output_activation not in ("sigmoid", "linear"):
@@ -86,33 +63,15 @@ class NetworkParams:
         return self.flat.size
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams.from_flat(self.layer_dims, self.flat.copy(), self.output_activation)
+        return NetworkParams(self.layer_dims, self.flat.copy(), self.output_activation)
 
 
 class Gradients:
     """Loss gradients laid out like ``NetworkParams.flat``; d_weights/d_biases are views."""
 
-    def __init__(self, d_weights: list[np.ndarray], d_biases: list[np.ndarray]) -> None:
-        dims = (d_weights[0].shape[1], *(g.shape[0] for g in d_weights))
-        self._bind(dims, _pack(d_weights, d_biases))
-
-    @classmethod
-    def from_flat(cls, layer_dims: tuple[int, ...], flat: np.ndarray) -> "Gradients":
-        grads = cls.__new__(cls)
-        grads._bind(layer_dims, flat)
-        return grads
-
-    def _bind(self, dims: tuple[int, ...], flat: np.ndarray) -> None:
-        self.layer_dims = dims
+    def __init__(self, layer_dims: tuple[int, ...], flat: np.ndarray) -> None:
         self.flat = flat
-        self.d_weights, self.d_biases = _views(dims, flat)
-
-    def add_(self, other: "Gradients") -> None:
-        self.flat += other.flat
-
-    @classmethod
-    def zeros_like(cls, net: NetworkParams) -> "Gradients":
-        return cls.from_flat(net.layer_dims, np.zeros(net.n_parameters))
+        self.d_weights, self.d_biases = _views(layer_dims, flat)
 
 
 @dataclass
@@ -136,34 +95,20 @@ def init_adam_state(net: NetworkParams) -> AdamState:
     return AdamState(m=np.zeros(n), v=np.zeros(n))
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Minibatch ADAM training parameters."""
-
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    max_iterations: int = 10000
-
-    def __post_init__(self) -> None:
-        if self.batch_size <= 0 or not 0 < self.learning_rate < np.inf:
-            raise ConfigError("batch_size and learning_rate must be positive (learning_rate finite)")
-        if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
-
-
-def init_network(
-    dims: list[int] | tuple[int, ...], seed: int, output_activation: str = "sigmoid"
-) -> NetworkParams:
-    """He-initialized weights (variance 2/fan_in) and zero biases."""
+def init_network(dims: list[int] | tuple[int, ...], seed: int) -> NetworkParams:
+    """Sigmoid-headed network with He-initialized weights (variance 2/fan_in)
+    and zero biases, drawing each layer's weights in turn."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(seed)
-    weights = [rng.standard_normal((o, i)) * np.sqrt(2.0 / i) for i, o in zip(dims[:-1], dims[1:])]
-    return NetworkParams(dims, weights, [np.zeros(o) for o in dims[1:]], output_activation)
+    n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    net = NetworkParams(dims, np.zeros(n), "sigmoid")
+    for w in net.weights:
+        rng.standard_normal(out=w)
+        w *= np.sqrt(2.0 / w.shape[1])
+    return net
 
 
-def _sigmoid(
-    z: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below, in one pass.
 
     ``out`` may be ``z`` itself; ``scratch`` (shaped like ``z``) holds exp(-|z|).
@@ -172,7 +117,7 @@ def _sigmoid(
     np.negative(e, out=e)
     np.exp(e, out=e)
     # e <= 1, so max(e, z >= 0) is 1 where z >= 0 and e below (NaN stays NaN)
-    out = np.maximum(e, z >= 0, out=out)
+    np.maximum(e, z >= 0, out=out)
     e += 1.0
     out /= e
     return out
@@ -194,21 +139,17 @@ def _forward_into(
         if m < last:
             np.maximum(z, 0.0, out=z)
         elif net.output_activation == "sigmoid":
-            _sigmoid(z, out=z, scratch=scratch)
+            _sigmoid(z, z, scratch)
         a = z
     return a
 
 
 def forward(net: NetworkParams, x: np.ndarray) -> np.ndarray:
-    """Map inputs through the network; accepts one vector or a batch of rows."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"input dim {x2.shape[1]} != network input dim {net.layer_dims[0]}")
-    acts = [np.empty((x2.shape[0], d)) for d in net.layer_dims[1:]]
-    out = _forward_into(net, x2, acts, np.empty_like(acts[-1]))
-    return out[0] if single else out
+    """Map a batch of input rows (samples x input dim) through the network."""
+    if x.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"input dim {x.shape[1]} != network input dim {net.layer_dims[0]}")
+    acts = [np.empty((x.shape[0], d)) for d in net.layer_dims[1:]]
+    return _forward_into(net, x, acts, np.empty_like(acts[-1]))
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -239,40 +180,28 @@ class Workspace:
         self._acts = [np.empty((self.max_rows, d)) for d in dims[1:]]
         self._scratch = np.empty((self.max_rows, dims[-1]))
         self._mask = np.empty(self.max_rows * max(dims[1:-1], default=0), dtype=bool)
-        self.grads = Gradients.from_flat(dims, np.empty(net.n_parameters))
+        self.grads = Gradients(dims, np.empty(net.n_parameters))
 
 
-def backward(
-    net: NetworkParams, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
-) -> tuple[float, Gradients]:
-    """Loss and its exact analytic gradient w.r.t. every weight and bias;
-    FloatingPointError when the loss is not finite (a non-finite output, say).
+def backward(net: NetworkParams, x: np.ndarray, y: np.ndarray, work: Workspace) -> tuple[float, Gradients]:
+    """Loss on the input rows ``x`` and target rows ``y`` and its exact analytic
+    gradient w.r.t. every weight and bias; FloatingPointError when the loss is
+    not finite (a non-finite output, say).
 
-    Without ``work`` the gradients are a fresh vector.  With it, the pass runs
-    in the workspace's buffers and the returned ``Gradients`` is the
-    workspace's own vector: it stays valid only until the next call on
-    ``work``.
+    The pass runs in the workspace's buffers, and the returned ``Gradients``
+    is the workspace's own vector: it stays valid only until the next call
+    on ``work``.
     """
-    x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    y = np.atleast_2d(np.asarray(targets, dtype=float))
     n_batch = x.shape[0]
-    if n_batch == 0:
-        raise ValueError("empty batch")
-    if n_batch != y.shape[0]:
-        raise ValueError("inputs and targets must have the same batch size")
-    if work is None:
-        work = Workspace(net, n_batch)
-    elif work.layer_dims != net.layer_dims or n_batch > work.max_rows:
+    fits = work.layer_dims == net.layer_dims and 0 < n_batch <= work.max_rows
+    if not fits or y.shape != (n_batch, net.layer_dims[-1]):
         raise ValueError(
-            f"workspace for dims {work.layer_dims} and {work.max_rows} rows cannot hold "
-            f"{n_batch} rows of a {net.layer_dims} network"
+            f"a workspace for {work.max_rows} rows of a {work.layer_dims} network cannot take "
+            f"{n_batch} rows with targets of shape {y.shape} for a {net.layer_dims} network"
         )
     acts = [a[:n_batch] for a in work._acts]
     delta = work._scratch[:n_batch]
     out = _forward_into(net, x, acts, delta)
-    if y.shape != out.shape:
-        raise ValueError(f"shape mismatch: {out.shape} vs {y.shape}")
-
     np.subtract(out, y, out=delta)
     residual = delta.reshape(-1)  # leading rows of a C-ordered buffer: a view
     loss = float(np.dot(residual, residual)) / n_batch
@@ -333,9 +262,9 @@ def adam_step(
     return net, state
 
 
-def sgd_step(net: NetworkParams, grads: Gradients, lr: float, out: np.ndarray | None = None) -> NetworkParams:
-    """Plain gradient descent: theta <- theta - lr * g, as new parameters, written
-    into ``out`` when given (it may be ``net.flat``; ``grads`` then becomes lr * g)."""
-    theta = lr * grads.flat if out is None else np.multiply(grads.flat, lr, out=grads.flat)
-    theta = np.subtract(net.flat, theta, out=theta if out is None else out)
-    return NetworkParams.from_flat(net.layer_dims, theta, net.output_activation)
+def sgd_step(net: NetworkParams, grads: Gradients, lr: float, out: np.ndarray) -> NetworkParams:
+    """Plain gradient descent theta <- theta - lr * g, written into ``out`` (it
+    may be ``net.flat``) and returned as new parameters; ``grads`` becomes lr * g."""
+    np.multiply(grads.flat, lr, out=grads.flat)
+    np.subtract(net.flat, grads.flat, out=out)
+    return NetworkParams(net.layer_dims, out, net.output_activation)

@@ -43,12 +43,13 @@ from .codec import decode, encode
 from .errors import ConfigError, NumericError
 from .features import Normalizer, complex_to_features, fit_normalizer, normalize
 from .keygen import check_epsilon, quantize_guardband
-from .neuralnet import NetworkParams, TrainConfig, forward, init_network
+from .neuralnet import NetworkParams, forward, init_network
 from .randomness import run_battery
 from .strategies import (
     ADAPT_BATCH_SIZE,
     MetaConfig,
     PairSet,
+    TrainConfig,
     adapt,
     check_task_split,
     meta_train,
@@ -186,7 +187,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -28,7 +28,6 @@ from .errors import ConfigError
 from .neuralnet import (
     Gradients,
     NetworkParams,
-    TrainConfig,
     Workspace,
     adam_step,
     backward,
@@ -79,6 +78,21 @@ class MetaTask:
 class MetaTaskSet:
     source: PairSet
     tasks: list[MetaTask]
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Minibatch ADAM training parameters."""
+
+    batch_size: int = 128
+    learning_rate: float = 1e-3
+    max_iterations: int = 10000
+
+    def __post_init__(self) -> None:
+        if self.batch_size <= 0 or not 0 < self.learning_rate < np.inf:
+            raise ConfigError("batch_size and learning_rate must be positive (learning_rate finite)")
+        if self.max_iterations < 0:
+            raise ConfigError("max_iterations must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,8 +196,8 @@ def inner_update(
     support_set: PairSet,
     alpha: float,
     g_tr: int,
-    work: Workspace | None = None,
-    out: np.ndarray | None = None,
+    work: Workspace,
+    out: np.ndarray,
 ) -> NetworkParams:
     """Per-task update: g_tr full-batch gradient-descent steps on the support loss
     (returns ``global_params`` itself when g_tr is 0); ``work`` is passed to
@@ -191,7 +205,7 @@ def inner_update(
     net = global_params
     for _ in range(g_tr):
         _, grads = backward(net, support_set.inputs, support_set.targets, work)
-        net = sgd_step(net, grads, alpha, out=out)
+        net = sgd_step(net, grads, alpha, out)
     return net
 
 
@@ -218,7 +232,7 @@ def meta_train(
     rows = max(max(len(t.support), len(t.query)) for t in tasks.tasks)
     inputs, targets = np.empty((rows, net.layer_dims[0])), np.empty((rows, net.layer_dims[-1]))
     work, adapted_flat = Workspace(net, rows), np.empty(net.n_parameters)
-    meta_grads = Gradients.zeros_like(net)
+    meta_grads = Gradients(net.layer_dims, np.zeros(net.n_parameters))
     rng = np.random.default_rng(seed)
     totals: list[float] = []
 
@@ -239,7 +253,7 @@ def meta_train(
             query = gather(task.query)
             loss, grads = backward(adapted, query.inputs, query.targets, work)
             total_loss += loss
-            meta_grads.add_(grads)
+            meta_grads.flat += grads.flat
         meta_grads.flat *= 1.0 / cfg.task_batch
         adam_step(net, meta_grads, state, cfg.outer_lr)
         totals.append(total_loss)

@@ -18,6 +18,7 @@ from fdkg.keygen import quantize_guardband
 from fdkg.neuralnet import (
     Gradients,
     NetworkParams,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -98,7 +99,7 @@ def test_criterion_1_gradient_correctness():
         y = rng.uniform(0.05, 0.95, (4, 4))
         if min(float(np.min(np.abs(z))) for z in hidden_pre_activations(net, x)) < 1e-6:
             continue  # resample away from ReLU kinks
-        _, grads = backward(net, x, y)
+        _, grads = backward(net, x, y, Workspace(net, 4))
         h = 1e-5
         for arrs, gs in ((net.weights, grads.d_weights), (net.biases, grads.d_biases)):
             for arr, g in zip(arrs, gs):
@@ -121,12 +122,8 @@ def test_criterion_1_gradient_correctness():
 
 
 def scalar_net(w: float) -> NetworkParams:
-    return NetworkParams(
-        layer_dims=(1, 1),
-        weights=[np.array([[float(w)]])],
-        biases=[np.array([0.0])],
-        output_activation="linear",
-    )
+    """The linear model y = w*x + b at b = 0."""
+    return NetworkParams((1, 1), np.array([float(w), 0.0]), "linear")
 
 
 def scalar_pairs(t: float) -> PairSet:
@@ -143,15 +140,11 @@ def test_criterion_2_optimizer_exactness():
         m = r1 * m + (1 - r1) * g
         v = r2 * v + (1 - r2) * g * g
         theta -= lr * (m / (1 - r1**t)) / (math.sqrt(v / (1 - r2**t)) + eps)
-        grads = Gradients(d_weights=[np.array([[g]])], d_biases=[np.array([0.0])])
+        grads = Gradients((1, 1), np.array([g, 0.0]))
         net, state = adam_step(net, grads, state, lr)
         assert abs(net.weights[0][0, 0] - theta) <= 1e-12
 
-    sgd = sgd_step(
-        scalar_net(0.0),
-        Gradients(d_weights=[np.array([[-4.0]])], d_biases=[np.array([0.0])]),
-        0.1,
-    )
+    sgd = sgd_step(scalar_net(0.0), Gradients((1, 1), np.array([-4.0, 0.0])), 0.1, np.empty(2))
     assert sgd.weights[0][0, 0] == 0.4  # exact float arithmetic
     announce(2, "optimizer exactness")
 
@@ -160,7 +153,8 @@ def test_criterion_3_maml_mechanics():
     t0 = time.perf_counter()
 
     # scalar inner update hits the hand value
-    adapted = inner_update(scalar_net(0.0), scalar_pairs(2.0), alpha=0.1, g_tr=1)
+    net, support = scalar_net(0.0), scalar_pairs(2.0)
+    adapted = inner_update(net, support, 0.1, 1, Workspace(net, support.n), np.empty(net.n_parameters))
     assert abs(adapted.weights[0][0, 0] - 0.4) <= 1e-12
 
     # zero inner rate: the meta-update is exactly a pooled-query ADAM step
@@ -176,7 +170,7 @@ def test_criterion_3_maml_mechanics():
     cfg = MetaConfig(inner_lr=0.0, inner_steps=1, task_batch=4, max_meta_iterations=1)
     meta_net = meta_train(init, task_set, cfg, seed=5)
     pooled = np.concatenate([t.query for t in tasks])
-    _, grads = backward(init, source.inputs[pooled], source.targets[pooled])
+    _, grads = backward(init, source.inputs[pooled], source.targets[pooled], Workspace(init, len(pooled)))
     ref, _ = adam_step(init, grads, init_adam_state(init), cfg.outer_lr)
     worst = max(
         float(np.max(np.abs(a - b)))

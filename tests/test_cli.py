@@ -74,6 +74,28 @@ def test_run_bad_config_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_run_config_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(mini_config().to_dict()).encode("utf-16-le"))
+    result = invoke("run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert result.exit_code == 2, result.output
+    assert "config error:" in result.output and "not UTF-8 text" in result.output
+
+
+def out_under_a_file(tmp_path) -> str:
+    """An --out path below a regular file, where nothing can be created."""
+    (tmp_path / "file").write_text("")
+    return str(tmp_path / "file" / "out")
+
+
+def test_run_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch):
+    called = forbid_work(monkeypatch)
+    result = invoke("run", "--config", str(write_mini_config(tmp_path)), "--out", out_under_a_file(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "config error: cannot create --out" in result.output
+    assert called == []
+
+
 def write_config_dict(tmp_path, edit):
     doc = mini_config(snr=20.0, algorithms=["direct", "meta"]).to_dict()
     edit(doc)
@@ -470,6 +492,16 @@ def test_sweep_n_ad_value_below_two_exits_2_before_any_work(tmp_path, monkeypatc
     assert not out.exists()
 
 
+def test_sweep_unusable_out_exits_2_before_any_work(tmp_path, monkeypatch):
+    called = forbid_work(monkeypatch)
+    cfg_path = write_mini_config(tmp_path)
+    out = out_under_a_file(tmp_path)
+    result = invoke("sweep", "--axis", "g_tr", "--values", "1,2", "--config", str(cfg_path), "--out", out)
+    assert result.exit_code == 2, result.output
+    assert "config error: cannot create --out" in result.output
+    assert called == []
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_sweep_numeric_failure_in_a_later_value_exits_3(tmp_path, monkeypatch, width):
     import fdkg.pipeline as pipeline
@@ -510,6 +542,19 @@ def test_nist_empty_dump_exits_2(tmp_path):
     dump.write_text("")
     result = invoke("nist", "--keys", str(dump), "--out", str(tmp_path / "o.csv"))
     assert result.exit_code == 2
+
+
+def test_nist_unusable_out_exits_2_before_the_battery(tmp_path, monkeypatch):
+    import fdkg.cli
+
+    batteries = []
+    monkeypatch.setattr(fdkg.cli, "run_battery", lambda keys: batteries.append(keys) or [])
+    dump = tmp_path / "keys.txt"
+    write_key_dump([np.ones(64, dtype=np.uint8)], dump)
+    result = invoke("nist", "--keys", str(dump), "--out", out_under_a_file(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert "config error: cannot create --out" in result.output
+    assert batteries == []
 
 
 def test_nist_csv_rows_have_one_field_per_column(tmp_path):

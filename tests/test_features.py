@@ -44,11 +44,6 @@ def test_fit_normalizer_min_max():
     assert norm.col_min[0] == 2.0 and norm.col_max[0] == 6.0
 
 
-def test_fit_normalizer_empty_errors():
-    with pytest.raises(ValueError):
-        fit_normalizer(np.empty((0, 4)))
-
-
 def test_single_sample_train_set_degenerate():
     norm = fit_normalizer(np.array([[1.5, -2.0]]))
     assert np.array_equal(norm.col_min, norm.col_max)

@@ -22,13 +22,13 @@ from fdkg.neuralnet import (
 )
 
 
-def scalar_net(w: float, output_activation: str = "linear") -> NetworkParams:
-    return NetworkParams(
-        layer_dims=(1, 1),
-        weights=[np.array([[float(w)]])],
-        biases=[np.array([0.0])],
-        output_activation=output_activation,
-    )
+def scalar_net(w: float) -> NetworkParams:
+    """The linear model y = w*x + b at b = 0."""
+    return NetworkParams((1, 1), np.array([float(w), 0.0]), "linear")
+
+
+def init_with_head(dims: list[int], seed: int, head: str) -> NetworkParams:
+    return NetworkParams(dims, init_network(dims, seed).flat, head)
 
 
 def hidden_pre_activations(net, x):
@@ -41,8 +41,8 @@ def hidden_pre_activations(net, x):
 
 
 def finite_difference_grads(net, x, y, h=1e-5):
-    fd_w = [np.zeros_like(w) for w in net.weights]
-    fd_b = [np.zeros_like(b) for b in net.biases]
+    fd_w = [np.zeros(w.shape) for w in net.weights]
+    fd_b = [np.zeros(b.shape) for b in net.biases]
     for arrs, outs in ((net.weights, fd_w), (net.biases, fd_b)):
         for arr, out in zip(arrs, outs):
             flat, oflat = arr.reshape(-1), out.reshape(-1)
@@ -66,6 +66,17 @@ def test_init_deterministic_and_shapes():
     assert np.all(a.biases[0] == 0.0)
 
 
+@pytest.mark.parametrize("dims, seed", [((2, 3, 1), 5), ((16, 24, 32, 8), 11)])
+def test_init_draws_layer_weights_in_order_then_zero_biases(dims, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i, o in zip(dims[:-1], dims[1:]):
+        parts += [(rng.standard_normal((o, i)) * np.sqrt(2.0 / i)).ravel(), np.zeros(o)]
+    net = init_network(dims, seed)
+    assert net.output_activation == "sigmoid"
+    assert np.array_equal(net.flat.view(np.uint64), np.concatenate(parts).view(np.uint64))
+
+
 def test_init_he_variance():
     net = init_network([512, 32], seed=0)
     sampled = net.weights[0].reshape(-1)[:10_000]
@@ -76,40 +87,33 @@ def test_forward_zero_net_outputs_half():
     net = init_network([4, 3, 2], seed=0)
     for w in net.weights:
         w[:] = 0.0
-    out = forward(net, np.array([0.3, -1.0, 2.0, 0.1]))
+    out = forward(net, np.array([[0.3, -1.0, 2.0, 0.1]]))
     assert np.allclose(out, 0.5)
 
 
 def test_forward_relu_preserves_positive_identity():
-    net = NetworkParams(
-        layer_dims=(3, 3, 3),
-        weights=[np.eye(3), np.eye(3)],
-        biases=[np.zeros(3), np.zeros(3)],
-        output_activation="linear",
-    )
-    x = np.array([0.5, 1.5, 0.25])
+    layer = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
+    net = NetworkParams((3, 3, 3), np.concatenate([layer, layer]), "linear")
+    x = np.array([[0.5, 1.5, 0.25]])
     assert np.array_equal(forward(net, x), x)
 
 
 def test_forward_matches_hand_computation():
     # 2-2-1 net evaluated by hand: relu hidden, sigmoid output
-    net = NetworkParams(
-        layer_dims=(2, 2, 1),
-        weights=[np.array([[1.0, -2.0], [0.5, 1.0]]), np.array([[2.0, -1.0]])],
-        biases=[np.array([0.1, -0.2]), np.array([0.05])],
-    )
-    x = np.array([0.6, 0.4])
+    # W0 = [[1, -2], [0.5, 1]], b0 = [0.1, -0.2], W1 = [[2, -1]], b1 = [0.05]
+    net = NetworkParams((2, 2, 1), np.array([1.0, -2.0, 0.5, 1.0, 0.1, -0.2, 2.0, -1.0, 0.05]), "sigmoid")
+    x = np.array([[0.6, 0.4]])
     z1 = np.array([1.0 * 0.6 - 2.0 * 0.4 + 0.1, 0.5 * 0.6 + 1.0 * 0.4 - 0.2])
     a1 = np.maximum(z1, 0.0)
     z2 = 2.0 * a1[0] - 1.0 * a1[1] + 0.05
     expected = 1.0 / (1.0 + np.exp(-z2))
-    assert forward(net, x)[0] == pytest.approx(expected, abs=1e-12)
+    assert forward(net, x)[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_forward_dimension_mismatch():
     net = init_network([4, 2], seed=1)
     with pytest.raises(ValueError):
-        forward(net, np.ones(3))
+        forward(net, np.ones((1, 3)))
 
 
 def test_mse_loss_examples():
@@ -129,7 +133,7 @@ def test_backward_zero_error_gives_tiny_gradients():
     net = init_network([3, 4, 2], seed=2)
     x = np.random.default_rng(0).uniform(0.1, 0.9, (5, 3))
     y = forward(net, x)
-    loss, grads = backward(net, x, y)
+    loss, grads = backward(net, x, y, Workspace(net, 5))
     assert loss == 0.0
     assert all(np.max(np.abs(g)) <= 1e-12 for g in grads.d_weights + grads.d_biases)
 
@@ -147,7 +151,7 @@ def test_backward_matches_finite_differences():
         y = rng.uniform(0.05, 0.95, (4, 4))
         if min(float(np.min(np.abs(z))) for z in hidden_pre_activations(net, x)) < 1e-6:
             continue  # resample away from ReLU kinks
-        _, grads = backward(net, x, y)
+        _, grads = backward(net, x, y, Workspace(net, 4))
         fd_w, fd_b = finite_difference_grads(net, x, y)
         for g, fd in zip(grads.d_weights + grads.d_biases, fd_w + fd_b):
             rel = np.abs(g - fd) / np.maximum.reduce([np.abs(g), np.abs(fd), np.full_like(g, 1e-8)])
@@ -157,19 +161,19 @@ def test_backward_matches_finite_differences():
 
 def test_backward_linear_head_bias_gradient_scales_with_error():
     # with a linear output, the output-layer bias gradient is linear in the error
-    net = init_network([3, 4, 2], seed=4, output_activation="linear")
+    net = init_with_head([3, 4, 2], 4, "linear")
     x = np.random.default_rng(5).uniform(0.0, 1.0, (6, 3))
     base = forward(net, x)
     y1 = base - 0.1
     y2 = base - 0.2  # doubled error components
-    _, g1 = backward(net, x, y1)
-    _, g2 = backward(net, x, y2)
+    _, g1 = backward(net, x, y1, Workspace(net, 6))
+    _, g2 = backward(net, x, y2, Workspace(net, 6))
     assert np.allclose(g2.d_biases[-1], 2.0 * g1.d_biases[-1], rtol=1e-10)
 
 
 def test_adam_zero_gradient_keeps_parameters():
     net = init_network([2, 2], seed=6)
-    grads = Gradients.zeros_like(net)
+    grads = Gradients(net.layer_dims, np.zeros(net.n_parameters))
     before = net.flat.copy()
     out, _ = adam_step(net, grads, init_adam_state(net), 1e-3)
     assert out is net and np.array_equal(net.flat, before)
@@ -177,7 +181,7 @@ def test_adam_zero_gradient_keeps_parameters():
 
 def test_adam_first_step_closed_form():
     net = scalar_net(0.0)
-    grads = Gradients(d_weights=[np.array([[1.0]])], d_biases=[np.array([0.0])])
+    grads = Gradients((1, 1), np.array([1.0, 0.0]))
     state = init_adam_state(net)
     stepped, state = adam_step(net, grads, state, 1e-3)
     # m=0.1, v=0.001, bias-corrected m^=1, v^=1 => delta = -lr/(1+eps)
@@ -200,23 +204,24 @@ def test_adam_two_steps_match_hand_computation():
     net = scalar_net(0.0)
     state = init_adam_state(net)
     for g in (g1, g2):
-        grads = Gradients(d_weights=[np.array([[g]])], d_biases=[np.array([0.0])])
+        grads = Gradients((1, 1), np.array([g, 0.0]))
         net, state = adam_step(net, grads, state, lr)
     assert net.weights[0][0, 0] == pytest.approx(theta, abs=1e-12)
 
 
 def test_sgd_step_arithmetic():
     net = scalar_net(0.0)
-    grads = Gradients(d_weights=[np.array([[-4.0]])], d_biases=[np.array([0.0])])
-    assert sgd_step(net, grads, 0.1).weights[0][0, 0] == pytest.approx(0.4, abs=1e-15)
-    assert np.array_equal(sgd_step(net, grads, 0.0).flat, net.flat)
+    moved = sgd_step(net, Gradients((1, 1), np.array([-4.0, 0.0])), 0.1, np.empty(2))
+    assert moved.weights[0][0, 0] == pytest.approx(0.4, abs=1e-15)
+    still = sgd_step(net, Gradients((1, 1), np.array([-4.0, 0.0])), 0.0, np.empty(2))
+    assert np.array_equal(still.flat, net.flat)
 
 
 def test_sgd_differs_from_adam_on_nonzero_gradient():
     net = scalar_net(1.0)
-    grads = Gradients(d_weights=[np.array([[0.3]])], d_biases=[np.array([0.1])])
-    sgd_out = sgd_step(net, grads, 1e-3)
-    adam_out, _ = adam_step(net, grads, init_adam_state(net), 1e-3)
+    g = np.array([0.3, 0.1])
+    sgd_out = sgd_step(net, Gradients((1, 1), g.copy()), 1e-3, np.empty(2))
+    adam_out, _ = adam_step(net, Gradients((1, 1), g), init_adam_state(net), 1e-3)
     assert not np.isclose(sgd_out.weights[0][0, 0], adam_out.weights[0][0, 0])
 
 
@@ -227,10 +232,10 @@ def test_training_loss_trend_and_determinism():
     w_true = rng.normal(size=(3, 4))
     y = 1.0 / (1.0 + np.exp(-(x @ w_true.T)))
     net = init_network([4, 8, 3], seed=9)
-    state = init_adam_state(net)
+    state, work = init_adam_state(net), Workspace(net, 32)
     losses = []
     for _ in range(50):
-        loss, grads = backward(net, x, y)
+        loss, grads = backward(net, x, y, work)
         losses.append(loss)
         net, state = adam_step(net, grads, state, 1e-2)
     first = np.mean(losses[:10])
@@ -250,7 +255,8 @@ def two_branch_sigmoid(z):
 def test_sigmoid_bit_equal_to_two_branch_formula():
     special = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 1e3, -1e3, 5e-324, -5e-324, 745.0, -745.0]
     z = np.concatenate([special, np.linspace(-40.0, 40.0, 8000)]).reshape(4, -1)
-    got, ref = _sigmoid(z), two_branch_sigmoid(z)
+    got, ref = z.copy(), two_branch_sigmoid(z)
+    _sigmoid(got, got, np.empty_like(z))  # in place, as the forward pass runs it
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -260,8 +266,11 @@ def test_flat_vector_layout_and_views():
     assert np.array_equal(net.flat, expected) and net.n_parameters == expected.size
     net.weights[1][0, 0] = 5.0  # views write through to the flat vector
     assert net.flat[3 * 4 + 4] == 5.0
-    grads = Gradients(d_weights=[np.ones((4, 3)), np.ones((2, 4))], d_biases=[np.zeros(4), np.zeros(2)])
-    assert grads.flat.shape == (net.n_parameters,) and np.shares_memory(grads.d_biases[1], grads.flat)
+    grads = Gradients(net.layer_dims, np.ones(net.n_parameters))
+    assert [g.shape for g in grads.d_weights] == [(4, 3), (2, 4)]
+    assert np.shares_memory(grads.d_biases[1], grads.flat)
+    with pytest.raises(ValueError, match="does not fit layer dims"):
+        NetworkParams(net.layer_dims, np.zeros(net.n_parameters - 1), "sigmoid")
 
 
 def test_copy_shares_no_memory():
@@ -274,15 +283,12 @@ def test_copy_shares_no_memory():
 
 def test_optimizer_steps_do_not_modify_inputs():
     """adam_step updates the network and the state it is given in place and
-    only reads the gradients; sgd_step reads both and returns new parameters."""
+    only reads the gradients; sgd_step leaves the network alone, writes the new
+    parameters into ``out`` and scales the gradients by the rate in place."""
     net = init_network([4, 6, 3], seed=2)
     x = np.random.default_rng(3).uniform(0.0, 1.0, (5, 4))
-    _, grads = backward(net, x, np.full((5, 3), 0.25))
+    _, grads = backward(net, x, np.full((5, 3), 0.25), Workspace(net, 5))
     net_before, grads_before = net.flat.copy(), grads.flat.copy()
-    moved = sgd_step(net, grads, 0.1)
-    assert np.array_equal(net.flat, net_before) and np.array_equal(grads.flat, grads_before)
-    assert not np.shares_memory(moved.flat, net.flat) and not np.array_equal(moved.flat, net.flat)
-
     state = init_adam_state(net)
     buffers = (net.flat, state.m, state.v)
     for step in (1, 2):
@@ -292,19 +298,24 @@ def test_optimizer_steps_do_not_modify_inputs():
         assert np.array_equal(grads.flat, grads_before)
     assert not np.array_equal(net.flat, net_before)
 
+    net_before = net.flat.copy()
+    moved = sgd_step(net, grads, 0.1, np.empty(net.n_parameters))
+    assert np.array_equal(net.flat, net_before) and np.array_equal(grads.flat, 0.1 * grads_before)
+    assert not np.shares_memory(moved.flat, net.flat) and not np.array_equal(moved.flat, net.flat)
+
 
 def test_chunked_adam_bitwise_equal_to_whole_vector_formula():
     n = 2 * ADAM_CHUNK + 7  # two full chunks and a short one
     dims = (n - 1, 1)
     rng = np.random.default_rng(21)
-    net = NetworkParams.from_flat(dims, rng.normal(size=n), "linear")
+    net = NetworkParams(dims, rng.normal(size=n), "linear")
     state = init_adam_state(net)
     assert state.scratch.shape == (ADAM_CHUNK,)
     theta, m, v = net.flat.copy(), np.zeros(n), np.zeros(n)
     lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in (1, 2, 3):
         g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
-        adam_step(net, Gradients.from_flat(dims, g), state, lr)
+        adam_step(net, Gradients(dims, g), state, lr)
         # the folded whole-vector update, operation for operation
         root_c2 = math.sqrt(1.0 - r2**t)
         m = (m - g) * r1 + g
@@ -322,13 +333,13 @@ def test_adam_agrees_with_textbook_update():
     n = ADAM_CHUNK + 1000
     dims = (n - 1, 1)
     rng = np.random.default_rng(22)
-    net = NetworkParams.from_flat(dims, np.zeros(n), "linear")
+    net = NetworkParams(dims, np.zeros(n), "linear")
     state = init_adam_state(net)
     theta, m, v = np.zeros(n), np.zeros(n), np.zeros(n)
     lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in range(1, 9):
         g = np.exp(rng.normal(scale=3.0, size=n))  # spans about 8 decades around 1
-        adam_step(net, Gradients.from_flat(dims, g), state, lr)
+        adam_step(net, Gradients(dims, g), state, lr)
         m = r1 * m + (1.0 - r1) * g
         v = r2 * v + (1.0 - r2) * g * g
         theta = theta - lr * (m / (1.0 - r1**t)) / (np.sqrt(v / (1.0 - r2**t)) + eps)
@@ -339,19 +350,21 @@ def test_adam_agrees_with_textbook_update():
 
 @pytest.mark.parametrize("head", ["sigmoid", "linear"])
 def test_workspace_backward_bit_identical_to_fresh_call(head):
-    net = init_network([16, 24, 32, 8], seed=5, output_activation=head)
+    net = init_with_head([16, 24, 32, 8], 5, head)
     work = Workspace(net, 128)
     rng = np.random.default_rng(6)
     for rows in (128, 104, 128):  # a short final batch runs on leading-row views
         x = rng.uniform(-1.0, 1.0, (rows, 16))
         y = rng.uniform(0.0, 1.0, (rows, 8))
         loss, grads = backward(net, x, y, work)
-        ref_loss, ref = backward(net, x, y)
+        ref_loss, ref = backward(net, x, y, Workspace(net, rows))
         assert grads is work.grads
         assert loss == ref_loss
         assert np.array_equal(grads.flat.view(np.uint64), ref.flat.view(np.uint64))
     with pytest.raises(ValueError):
         backward(net, np.zeros((129, 16)), np.zeros((129, 8)), work)
+    with pytest.raises(ValueError):  # targets that would broadcast over the batch
+        backward(net, np.zeros((4, 16)), np.zeros((1, 8)), work)
     with pytest.raises(ValueError):
         backward(init_network([16, 8], seed=5), np.zeros((4, 16)), np.zeros((4, 8)), work)
 
@@ -359,18 +372,9 @@ def test_workspace_backward_bit_identical_to_fresh_call(head):
 @pytest.mark.parametrize("head, bad", [("sigmoid", np.nan), ("linear", np.nan), ("linear", 1e300)])
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_backward_rejects_non_finite_loss(head, bad):
-    net = init_network([3, 4, 2], seed=2, output_activation=head)
+    net = init_with_head([3, 4, 2], 2, head)
     x = np.random.default_rng(0).uniform(0.1, 0.9, (5, 3))
     x[2] = bad  # a NaN row, or one whose linear outputs square past the float range
     with pytest.raises(FloatingPointError, match="non-finite training loss"):
         backward(net, x, np.full((5, 2), 0.5), Workspace(net, 8))
 
-
-def test_backward_without_workspace_returns_unaliased_gradients():
-    net = init_network([4, 6, 3], seed=8)
-    rng = np.random.default_rng(9)
-    _, first = backward(net, rng.uniform(size=(5, 4)), rng.uniform(size=(5, 3)))
-    kept = first.flat.copy()
-    _, second = backward(net, rng.uniform(size=(5, 4)), rng.uniform(size=(5, 3)))
-    assert not np.shares_memory(first.flat, second.flat)
-    assert np.array_equal(first.flat, kept)

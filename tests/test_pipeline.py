@@ -12,7 +12,6 @@ import pytest
 from fdkg.channel_sim import EnvironmentSpec, OfdmConfig
 from fdkg.codec import decode
 from fdkg.errors import ConfigError, NumericError
-from fdkg.neuralnet import TrainConfig
 from fdkg.pipeline import (
     CSV_COLUMNS,
     Environments,
@@ -32,7 +31,7 @@ from fdkg.pipeline import (
     score_keys,
     sweep,
 )
-from fdkg.strategies import MetaConfig
+from fdkg.strategies import MetaConfig, TrainConfig
 
 
 def mini_config(
@@ -121,6 +120,12 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_json(path)
+
+    def test_config_file_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(desk_profile().to_dict()).encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
             ExperimentConfig.from_json(path)
 
     def test_scale_factor(self):
@@ -767,8 +772,3 @@ class TestScoreKeys:
         metrics = score_keys(pred, act, epsilon=0.1, n_subcarriers=2)
         assert metrics.ker == 1.0 and metrics.kgr == 0.0
         assert metrics.alice_keys == [] and metrics.bob_keys == []
-
-    def test_feature_length_mismatch(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            score_keys(rng.normal(size=(2, 8)), rng.normal(size=(2, 10)), epsilon=0.1, n_subcarriers=4)

@@ -4,12 +4,13 @@ import pytest
 from fdkg.neuralnet import (
     Gradients,
     NetworkParams,
-    TrainConfig,
+    Workspace,
     adam_step,
     backward,
     forward,
     init_adam_state,
     init_network,
+    mse_loss,
 )
 from fdkg.strategies import (
     EVAL_INTERVAL,
@@ -18,6 +19,7 @@ from fdkg.strategies import (
     MetaTask,
     MetaTaskSet,
     PairSet,
+    TrainConfig,
     adapt,
     inner_update,
     meta_train,
@@ -27,12 +29,13 @@ from fdkg.strategies import (
 
 
 def scalar_net(w: float) -> NetworkParams:
-    return NetworkParams(
-        layer_dims=(1, 1),
-        weights=[np.array([[float(w)]])],
-        biases=[np.array([0.0])],
-        output_activation="linear",
-    )
+    """The linear model y = w*x + b at b = 0."""
+    return NetworkParams((1, 1), np.array([float(w), 0.0]), "linear")
+
+
+def run_inner_update(init: NetworkParams, support: PairSet, alpha: float, g_tr: int) -> NetworkParams:
+    """inner_update with a workspace and an output vector of its own."""
+    return inner_update(init, support, alpha, g_tr, Workspace(init, support.n), np.empty(init.n_parameters))
 
 
 def scalar_support(target_w: float) -> PairSet:
@@ -73,8 +76,6 @@ class TestTrainSupervised:
         cfg = TrainConfig(batch_size=16, learning_rate=3e-3, max_iterations=2000)
         hist: list[float] = []
         net = train_supervised(init, data, cfg, loss_history=hist)
-        from fdkg.neuralnet import mse_loss
-
         assert mse_loss(forward(net, data.inputs), data.targets) < 1e-3
         assert len(hist) <= 2000
 
@@ -124,20 +125,20 @@ class TestAdapt:
 class TestInnerUpdate:
     def test_zero_alpha_identity(self):
         init = init_network([6, 8, 6], seed=5)
-        out = inner_update(init, toy_pairs(8), alpha=0.0, g_tr=3)
+        out = run_inner_update(init, toy_pairs(8), alpha=0.0, g_tr=3)
         assert np.array_equal(out.flat, init.flat)
 
     def test_scalar_hand_value_one_step(self):
         # model y = w*x with loss (w-2)^2 at w0=0: gradient -4, so
         # w1 = 0 + 0.1*4 = 0.4.  The antisymmetric sample pair keeps the
         # bias gradient exactly zero, leaving the pure scalar recursion.
-        out = inner_update(scalar_net(0.0), scalar_support(2.0), alpha=0.1, g_tr=1)
+        out = run_inner_update(scalar_net(0.0), scalar_support(2.0), alpha=0.1, g_tr=1)
         assert out.weights[0][0, 0] == pytest.approx(0.4, abs=1e-12)
         assert out.biases[0][0] == 0.0
 
     def test_scalar_hand_value_two_steps(self):
         # second step: w2 = 0.4 + 0.1 * 2 * (2 - 0.4) = 0.72
-        out = inner_update(scalar_net(0.0), scalar_support(2.0), alpha=0.1, g_tr=2)
+        out = run_inner_update(scalar_net(0.0), scalar_support(2.0), alpha=0.1, g_tr=2)
         assert out.weights[0][0, 0] == pytest.approx(0.72, abs=1e-12)
 
 
@@ -164,7 +165,7 @@ class TestMetaTrain:
         meta_net = meta_train(init, task_set(parts), cfg, seed=3)
 
         pooled = PairSet.concat([query for _, query in parts])
-        _, grads = backward(init, pooled.inputs, pooled.targets)
+        _, grads = backward(init, pooled.inputs, pooled.targets, Workspace(init, pooled.n))
         ref, _ = adam_step(init, grads, init_adam_state(init), cfg.outer_lr)
         for a, b in zip(meta_net.weights + meta_net.biases, ref.weights + ref.biases):
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -187,7 +188,7 @@ class TestMetaTrain:
             w = ref.weights[0][0, 0]
             w_adapted = w + 0.1 * 2.0 * (2.0 - w)
             g = 2.0 * (w_adapted - 3.0)
-            grads = Gradients(d_weights=[np.array([[g]])], d_biases=[np.array([0.0])])
+            grads = Gradients((1, 1), np.array([g, 0.0]))
             ref, state = adam_step(ref, grads, state, cfg.outer_lr)
         assert out.weights[0][0, 0] == pytest.approx(ref.weights[0][0, 0], abs=1e-10)
         assert out.biases[0][0] == 0.0
@@ -269,7 +270,7 @@ class TestInputsUntouched:
         outs = [
             train_supervised(init, data, TrainConfig(batch_size=8, max_iterations=10)),
             adapt(init, data, MetaConfig(adapt_steps=5)),
-            inner_update(init, data, alpha=0.1, g_tr=2),
+            run_inner_update(init, data, alpha=0.1, g_tr=2),
             meta_train(init, tasks, MetaConfig(task_batch=2, max_meta_iterations=3)),
         ]
         assert np.array_equal(init.flat, snap)
