@@ -10,19 +10,51 @@ dimension.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 RHO1_DEFAULT = 0.9
 RHO2_DEFAULT = 0.999
 ADAM_EPS = 1e-8
-# elements per adam_step chunk: an AdamState's one scratch vector takes 256 kB
-# rather than a parameter-sized vector.  A step makes 12 NumPy calls per chunk,
-# but 65 536-element chunks (half the calls) ran the benchmark's desk workload
-# no faster and peaked 0.6% higher in RSS.
+# elements per chunk of adam_step's NumPy fallback: an AdamState's one scratch
+# vector takes 256 kB rather than a parameter-sized vector.  The fallback makes
+# 12 NumPy calls per chunk, but 65 536-element chunks (half the calls) ran the
+# benchmark's desk workload no faster and peaked 0.6% higher in RSS.
 ADAM_CHUNK = 32768
+
+# adam_step's update in one pass: the fallback's 12 operations per element, in
+# its order.  Each is a correctly rounded IEEE double operation, and
+# -ffp-contract=off forbids fusing a multiply and an add, so the bits match the
+# fallback's.  -ffast-math or -Ofast could set flush-to-zero for the whole
+# process, and -march=native would tie the cached library to this host.
+_ADAM_C = r"""
+#include <math.h>
+#include <stddef.h>
+
+void adam_step(double *theta, double *m, double *v, const double *g, size_t n,
+               double rho1, double rho2, double step, double eps)
+{
+    for (size_t i = 0; i < n; i++) {
+        double gi = g[i], s = gi * gi;
+        double mi = (m[i] - gi) * rho1 + gi;
+        double vi = (v[i] - s) * rho2 + s;
+        m[i] = mi;
+        v[i] = vi;
+        theta[i] -= mi / (sqrt(vi) + eps) * step;
+    }
+}
+"""
+_ADAM_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 def _views(dims: tuple[int, ...], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -78,8 +110,8 @@ class Gradients:
 class AdamState:
     """ADAM step counter and moments laid out like ``NetworkParams.flat``.
 
-    ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place, using the
-    chunk-sized vector ``scratch`` as its work buffer."""
+    ``adam_step`` updates ``m``, ``v`` and ``step_count`` in place; its NumPy
+    fallback uses the chunk-sized vector ``scratch`` as its work buffer."""
 
     m: np.ndarray
     v: np.ndarray
@@ -225,14 +257,115 @@ def backward(net: NetworkParams, x: np.ndarray, y: np.ndarray, work: Workspace) 
     return loss, grads
 
 
+def _load_adam_kernel(cache_dir: Path):
+    """``_ADAM_C`` compiled by ``cc`` and loaded, or None where there is no
+    ``cc`` or it fails.  The library is cached in ``cache_dir`` under a hash of
+    what went into it, or, where that directory cannot be written, built for
+    this process alone.  The compiler's output is captured, never shown."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    key = "\0".join((_ADAM_C, compiler, *_ADAM_CFLAGS, platform.machine()))
+    cached = cache_dir / f"adam_step.{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+    def build(tmp: str) -> str | None:
+        import subprocess  # only here, so that a run that finds the library cached never loads it
+
+        src, lib = os.path.join(tmp, "adam_step.c"), os.path.join(tmp, "adam_step.so")
+        Path(src).write_text(_ADAM_C)
+        try:
+            done = subprocess.run(
+                [compiler, *_ADAM_CFLAGS, "-o", lib, src],
+                stdin=subprocess.DEVNULL,
+                capture_output=True,
+                timeout=120,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return lib if done.returncode == 0 else None
+
+    def load(lib: str):
+        fn = ctypes.CDLL(lib).adam_step
+        fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_size_t] + [ctypes.c_double] * 4
+        fn.restype = None
+        return fn
+
+    if not cached.exists():
+        try:
+            cache_dir.mkdir(exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
+                lib = build(tmp)
+                if lib is None:
+                    return None
+                os.replace(lib, cached)  # atomic: a concurrent process loads a whole file or none
+        except OSError:  # cache_dir cannot be written
+            with tempfile.TemporaryDirectory() as tmp:
+                lib = build(tmp)
+                # a loaded library stays mapped after its file is removed
+                return None if lib is None else load(lib)
+    return load(str(cached))
+
+
+class _AdamKernel:
+    """The compiled Adam loop, loaded by the first :meth:`get` (None where it
+    could not be built), once however many threads make that first call."""
+
+    def __init__(self, cache_dir: Path) -> None:
+        self.cache_dir = cache_dir
+        self._lock = threading.Lock()
+        self._loaded = False
+        self._fn = None
+
+    def get(self):
+        if not self._loaded:
+            with self._lock:
+                if not self._loaded:
+                    try:
+                        self._fn = _load_adam_kernel(self.cache_dir)
+                    except OSError:  # a library that cannot be loaded, say
+                        self._fn = None
+                    self._loaded = True
+        return self._fn
+
+
+# cached next to this module's .pyc files; deleting __pycache__ clears it
+_ADAM_KERNEL = _AdamKernel(Path(__file__).resolve().parent / "__pycache__")
+
+
+def _adam_chunks(theta, m, v, g, scratch, step: float, eps: float) -> None:
+    """The update of :func:`adam_step` in NumPy calls, one chunk at a time."""
+    for lo in range(0, theta.size, ADAM_CHUNK):
+        hi = lo + ADAM_CHUNK
+        gc, mc, vc, tc = g[lo:hi], m[lo:hi], v[lo:hi], theta[lo:hi]
+        s = scratch[: gc.size]
+        # m = rho1*(m - g) + g and v = rho2*(v - g*g) + g*g, the moving averages in 7 passes
+        mc -= gc
+        mc *= RHO1_DEFAULT
+        mc += gc
+        np.multiply(gc, gc, out=s)
+        vc -= s
+        vc *= RHO2_DEFAULT
+        vc += s
+        # theta -= step * m / (sqrt(v) + eps)
+        np.sqrt(vc, out=s)
+        s += eps
+        np.divide(mc, s, out=s)
+        s *= step
+        tc -= s
+
+
 def adam_step(
     net: NetworkParams, grads: Gradients, state: AdamState, lr: float
 ) -> tuple[NetworkParams, AdamState]:
     """One bias-corrected ADAM update of ``net`` in place.
 
     The parameters of ``net`` and the moments and step count of ``state`` are
-    updated in place, chunk by chunk, and both objects are returned;
-    ``grads`` is only read.  Callers that must keep a network copy it first.
+    updated in place, and both objects are returned; ``grads`` is only read.
+    Callers that must keep a network copy it first.  The update runs in one
+    compiled pass (one call, which releases the GIL) when a C compiler built
+    it and the four vectors are writable C-contiguous float64 vectors of one
+    length; otherwise in NumPy calls over ``state.scratch``-sized chunks.
+    Both give the same bits.
     """
     t = state.step_count + 1
     c1 = 1.0 - RHO1_DEFAULT**t
@@ -240,24 +373,18 @@ def adam_step(
     # lr*(m/c1) / (sqrt(v/c2) + eps) with the bias corrections folded into two
     # scalars, as at the end of section 2 of Kingma & Ba (arXiv:1412.6980)
     step, eps = lr * root_c2 / c1, ADAM_EPS * root_c2
-    for lo in range(0, net.flat.size, ADAM_CHUNK):
-        hi = lo + ADAM_CHUNK
-        g, m, v, theta = grads.flat[lo:hi], state.m[lo:hi], state.v[lo:hi], net.flat[lo:hi]
-        s = state.scratch[: g.size]
-        # m = rho1*(m - g) + g and v = rho2*(v - g*g) + g*g, the moving averages in 7 passes
-        m -= g
-        m *= RHO1_DEFAULT
-        m += g
-        np.multiply(g, g, out=s)
-        v -= s
-        v *= RHO2_DEFAULT
-        v += s
-        # theta -= step * m / (sqrt(v) + eps)
-        np.sqrt(v, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= step
-        theta -= s
+    vectors = (net.flat, state.m, state.v, grads.flat)
+    n = net.flat.size
+    kernel = _ADAM_KERNEL.get()
+    # the loop writes theta, m and v through bare pointers, so it takes only what its C types say
+    if (
+        kernel is not None
+        and all(a.dtype == np.float64 and a.shape == (n,) and a.flags.c_contiguous for a in vectors)
+        and all(a.flags.writeable for a in vectors[:3])
+    ):
+        kernel(*(a.ctypes.data for a in vectors), n, RHO1_DEFAULT, RHO2_DEFAULT, step, eps)
+    else:
+        _adam_chunks(*vectors, state.scratch, step, eps)
     state.step_count = t
     return net, state
 

@@ -147,10 +147,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {alg!r}; choose from {KNOWN_ALGORITHMS}")
         if not self.algorithms:
             raise ConfigError("no algorithms selected")
-        for name in ("algorithms", "snr_list_db"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} entries must be distinct, got {values}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError(f"algorithms entries must be distinct, got {self.algorithms}")
+        if not _print_distinct(self.snr_list_db):
+            raise ConfigError(
+                f"snr_list_db entries must be distinct at the report CSV's 9 significant digits, got {self.snr_list_db}"
+            )
         if not self.snr_list_db:
             raise ConfigError("snr_list_db must be non-empty")
         for snr in (*self.snr_list_db, self.train_snr_db):
@@ -304,6 +306,11 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.9g}"
     return "" if value is None else str(value)
+
+
+def _print_distinct(values) -> bool:
+    """Whether no two of the numbers ``values`` print alike in the report CSV."""
+    return len({_fmt(float(v)) for v in values}) == len(values)
 
 
 def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> None:
@@ -689,8 +696,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[float]) -> ExperimentRe
     """
     if not values:
         raise ConfigError("sweep values must be non-empty")
-    if len(set(values)) != len(values):
-        raise ConfigError(f"sweep values must be distinct, got {values}")
+    if not _print_distinct(values):
+        raise ConfigError(f"sweep values must be distinct at the report CSV's 9 significant digits, got {values}")
     if axis == "snr":
         report = run_pipeline(replace(cfg, snr_list_db=[float(v) for v in values]))
         return ExperimentReport(

@@ -130,6 +130,8 @@ def forbid_work(monkeypatch):
         lambda d: d.update(n_source=5),
         lambda d: d.update(algorithms=["direct", "direct"]),
         lambda d: d.update(snr_list_db=[20.0, 20.0]),
+        # the CSV prints SNRs at 9 significant digits, so these once made two rows alike
+        lambda d: d.update(snr_list_db=[20.0, 20.0000000001]),
         lambda d: d["meta_tasks"].update(support_fraction=1.0),
         # scaling once lifted n_tasks 0 to 1
         lambda d: (d.update(scale_factor=0.5), d["meta_tasks"].update(n_tasks=0), d["meta"].update(task_batch=1)),
@@ -172,6 +174,7 @@ def forbid_work(monkeypatch):
         "grouped_field_at_top_level",
         "duplicate_algorithm",
         "duplicate_test_snr",
+        "test_snrs_that_print_alike",
         "support_fraction_one",
         "zero_meta_tasks_scaled",
         "one_adaptation_sample",
@@ -469,7 +472,11 @@ def test_sweep_integer_axis_rejects_non_whole_values_before_any_work(tmp_path, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("axis, values", [("g_tr", "1,1"), ("e_batch", "2,1,2"), ("snr", "20,20")])
+@pytest.mark.parametrize(
+    "axis, values",
+    # 20.0000000001 is not 20, but the sweep CSV prints both at 9 significant digits as 20
+    [("g_tr", "1,1"), ("e_batch", "2,1,2"), ("snr", "20,20"), ("snr", "20,20.0000000001")],
+)
 def test_sweep_duplicate_values_exit_2_before_any_work(tmp_path, monkeypatch, axis, values):
     called = forbid_work(monkeypatch)
     cfg_path = write_config_dict(tmp_path, lambda d: None)

@@ -2,6 +2,9 @@
 function or class has a caller in fdkg (no linter needed)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,11 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[tuple[str, str]]:
 def test_every_definition_has_a_caller_in_fdkg():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
     assert [(m, name) for m, name in unreferenced_definitions(sources) if name not in UNCALLED_ALLOWED] == []
+
+
+def test_importing_the_cli_loads_no_subprocess():
+    # the benchmark times this import; the Adam loop's builder imports subprocess when it runs
+    code = "import sys, fdkg.cli; print('subprocess' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

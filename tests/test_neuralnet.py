@@ -1,13 +1,19 @@
 import math
+import shutil
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fdkg import neuralnet
 from fdkg.neuralnet import (
     ADAM_CHUNK,
     ADAM_EPS,
     RHO1_DEFAULT,
     RHO2_DEFAULT,
+    AdamState,
     Gradients,
     NetworkParams,
     Workspace,
@@ -281,7 +287,30 @@ def test_copy_shares_no_memory():
     assert np.array_equal(dup.flat, net.flat)
 
 
-def test_optimizer_steps_do_not_modify_inputs():
+NO_KERNEL = SimpleNamespace(get=lambda: None)
+ADAM_CHUNKS = neuralnet._adam_chunks
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def adam_path(request, monkeypatch):
+    """Run the test once on the compiled Adam loop and once on the NumPy chunks."""
+    if request.param == "kernel":
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on the path")
+        assert neuralnet._ADAM_KERNEL.get() is not None
+        monkeypatch.setattr(neuralnet, "_adam_chunks", None)  # any fallback call fails the test
+    else:
+        monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", NO_KERNEL)
+    return request.param
+
+
+def flat_adam(theta, g, state, lr):
+    """adam_step on bare vectors: it reads nothing of the network and gradients but
+    ``flat``, and a vector of length 1 fits no layer dims."""
+    adam_step(SimpleNamespace(flat=theta), SimpleNamespace(flat=g), state, lr)
+
+
+def test_optimizer_steps_do_not_modify_inputs(adam_path):
     """adam_step updates the network and the state it is given in place and
     only reads the gradients; sgd_step leaves the network alone, writes the new
     parameters into ``out`` and scales the gradients by the rate in place."""
@@ -304,48 +333,171 @@ def test_optimizer_steps_do_not_modify_inputs():
     assert not np.shares_memory(moved.flat, net.flat) and not np.array_equal(moved.flat, net.flat)
 
 
-def test_chunked_adam_bitwise_equal_to_whole_vector_formula():
-    n = 2 * ADAM_CHUNK + 7  # two full chunks and a short one
-    dims = (n - 1, 1)
+@pytest.mark.parametrize("n", [1, 7, 2 * ADAM_CHUNK + 7])  # the last: two full chunks and a short one
+def test_chunked_adam_bitwise_equal_to_whole_vector_formula(adam_path, n):
     rng = np.random.default_rng(21)
-    net = NetworkParams(dims, rng.normal(size=n), "linear")
-    state = init_adam_state(net)
-    assert state.scratch.shape == (ADAM_CHUNK,)
-    theta, m, v = net.flat.copy(), np.zeros(n), np.zeros(n)
+    params = rng.normal(size=n)
+    state = AdamState(m=np.zeros(n), v=np.zeros(n))
+    assert state.scratch.shape == (min(n, ADAM_CHUNK),)
+    theta, m, v = params.copy(), np.zeros(n), np.zeros(n)
     lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in (1, 2, 3):
         g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
-        adam_step(net, Gradients(dims, g), state, lr)
-        # the folded whole-vector update, operation for operation
-        root_c2 = math.sqrt(1.0 - r2**t)
-        m = (m - g) * r1 + g
-        v = (v - g * g) * r2 + g * g
-        theta = theta - m / (np.sqrt(v) + eps * root_c2) * (lr * root_c2 / (1.0 - r1**t))
-        for got, want in ((net.flat, theta), (state.m, m), (state.v, v)):
+        # each of the first three elements meets 0, a subnormal and a gradient whose square overflows
+        specials = np.roll([0.0, 1e-310, 1e300], 1 - t)[: min(n, 3)]
+        g[: specials.size] = specials
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat_adam(params, g, state, lr)
+            # the folded whole-vector update, operation for operation
+            root_c2 = math.sqrt(1.0 - r2**t)
+            m = (m - g) * r1 + g
+            v = (v - g * g) * r2 + g * g
+            theta = theta - m / (np.sqrt(v) + eps * root_c2) * (lr * root_c2 / (1.0 - r1**t))
+        for got, want in ((params, theta), (state.m, m), (state.v, v)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_adam_agrees_with_textbook_update():
-    # Kingma & Ba (arXiv:1412.6980), Algorithm 1, over two chunks and several steps.  The
+@pytest.mark.parametrize("n", [1, 7, ADAM_CHUNK + 1000])
+def test_adam_agrees_with_textbook_update(adam_path, n):
+    # Kingma & Ba (arXiv:1412.6980), Algorithm 1, over up to two chunks and several steps.  The
     # gradients are positive and the parameters start at 0, so m, v and theta are each a
     # one-signed sum: rounding stays relative to them in both forms, and no value
     # cancels to near 0, where any two orders of operations differ relatively by far more
-    n = ADAM_CHUNK + 1000
-    dims = (n - 1, 1)
     rng = np.random.default_rng(22)
-    net = NetworkParams(dims, np.zeros(n), "linear")
-    state = init_adam_state(net)
+    params = np.zeros(n)
+    state = AdamState(m=np.zeros(n), v=np.zeros(n))
     theta, m, v = np.zeros(n), np.zeros(n), np.zeros(n)
     lr, r1, r2, eps = 1e-3, RHO1_DEFAULT, RHO2_DEFAULT, ADAM_EPS
     for t in range(1, 9):
         g = np.exp(rng.normal(scale=3.0, size=n))  # spans about 8 decades around 1
-        adam_step(net, Gradients(dims, g), state, lr)
+        flat_adam(params, g, state, lr)
         m = r1 * m + (1.0 - r1) * g
         v = r2 * v + (1.0 - r2) * g * g
         theta = theta - lr * (m / (1.0 - r1**t)) / (np.sqrt(v / (1.0 - r2**t)) + eps)
-        for got, want in ((net.flat, theta), (state.m, m), (state.v, v)):
+        for got, want in ((params, theta), (state.m, m), (state.v, v)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert state.step_count == 8
+
+
+@pytest.mark.parametrize("layout", ["float32_gradients", "strided_parameters"])
+def test_adam_on_vectors_the_loop_cannot_take_gives_the_numpy_result(monkeypatch, layout):
+    n = 1000
+    rng = np.random.default_rng(23)
+    start, g64 = rng.normal(size=n), rng.normal(size=n)
+
+    def run():
+        base = np.full(2 * n, 5.0)  # a strided vector's gaps must keep their 5.0
+        params = base[::2] if layout == "strided_parameters" else base[:n]
+        params[:] = start
+        g = g64.astype(np.float32) if layout == "float32_gradients" else g64
+        state = AdamState(m=np.zeros(n), v=np.zeros(n))
+        for _ in range(3):
+            flat_adam(params, g, state, 1e-3)
+        return base, state.m, state.v
+
+    got = run()  # with the compiled loop where cc built it
+    monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", NO_KERNEL)
+    for a, b in zip(got, run()):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def small_adam_case(seed):
+    """A 3x2 network, its gradients and a fresh Adam state."""
+    net = init_network([3, 2], seed=seed)
+    g = np.random.default_rng(seed).normal(size=net.n_parameters)
+    return net, Gradients(net.layer_dims, g), init_adam_state(net)
+
+
+def numpy_adam_result(seed):
+    """The parameters after one step at rate 1e-3 of ``small_adam_case(seed)`` on the NumPy path."""
+    net, grads, state = small_adam_case(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neuralnet, "_ADAM_KERNEL", NO_KERNEL)
+        mp.setattr(neuralnet, "_adam_chunks", ADAM_CHUNKS)
+        adam_step(net, grads, state, 1e-3)
+    return net.flat
+
+
+def fake_cc(tmp_path, body):
+    """A `cc` the builder finds by name: a shell script running ``body``."""
+    path = tmp_path / "cc"
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_no_compiler_on_the_path_takes_the_numpy_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    kernel = neuralnet._AdamKernel(tmp_path / "cache")
+    monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", kernel)
+    chunk_calls = []
+    monkeypatch.setattr(neuralnet, "_adam_chunks", lambda *a: (chunk_calls.append(1), ADAM_CHUNKS(*a)))
+    net, grads, state = small_adam_case(4)
+    adam_step(net, grads, state, 1e-3)
+    assert kernel.get() is None and chunk_calls == [1]
+    assert np.array_equal(net.flat, numpy_adam_result(4))
+    assert not (tmp_path / "cache").exists()
+
+
+def test_a_failing_compiler_leaves_no_cached_file_and_says_nothing(monkeypatch, tmp_path, capfd):
+    ran = tmp_path / "ran"
+    cc = fake_cc(tmp_path, f"echo run >> {ran}\necho 'adam_step.c: error' >&2\nexit 1\n")
+    monkeypatch.setattr(shutil, "which", lambda name: cc if name == "cc" else None)
+    kernel = neuralnet._AdamKernel(tmp_path / "cache")
+    monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", kernel)
+    net, grads, state = small_adam_case(4)
+    adam_step(net, grads, state, 1e-3)
+    assert kernel.get() is None and ran.read_text() == "run\n"
+    assert np.array_equal(net.flat, numpy_adam_result(4))
+    assert list((tmp_path / "cache").iterdir()) == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_concurrent_first_steps_run_the_compiler_once(monkeypatch, tmp_path):
+    real_cc = shutil.which("cc")
+    if real_cc is None:
+        pytest.skip("no C compiler on the path")
+    runs = tmp_path / "runs"
+    cc = fake_cc(tmp_path, f'echo run >> {runs}\nexec {real_cc} "$@"\n')
+    monkeypatch.setattr(shutil, "which", lambda name: cc if name == "cc" else None)
+    kernel = neuralnet._AdamKernel(tmp_path / "cache")
+    monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", kernel)
+    cases = [small_adam_case(seed) for seed in range(8)]
+    barrier = threading.Barrier(len(cases))
+
+    def first_step(case):
+        barrier.wait()
+        adam_step(*case, 1e-3)
+
+    threads = [threading.Thread(target=first_step, args=(case,)) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert runs.read_text() == "run\n" and kernel.get() is not None
+    assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".so"]
+    for seed, (net, _, state) in enumerate(cases):
+        assert state.step_count == 1 and np.array_equal(net.flat, numpy_adam_result(seed))
+
+
+def test_unwritable_cache_dir_still_gives_the_loop_built_privately(monkeypatch, tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on the path")
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a cache dir under a file can be made by no user, root included
+    kernel = neuralnet._AdamKernel(blocker / "__pycache__")
+    monkeypatch.setattr(neuralnet, "_ADAM_KERNEL", kernel)
+    monkeypatch.setattr(neuralnet, "_adam_chunks", None)  # any fallback call fails the test
+    net, grads, state = small_adam_case(5)
+    adam_step(net, grads, state, 1e-3)
+    assert kernel.get() is not None and list(tmp_path.iterdir()) == [blocker]
+    assert np.array_equal(net.flat, numpy_adam_result(5))
 
 
 @pytest.mark.parametrize("head", ["sigmoid", "linear"])
